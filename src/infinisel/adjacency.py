@@ -1,21 +1,57 @@
 """Feature adjacency matrices for the three graph-energy selector variants.
 
-Each builder turns a measure cache into a dense symmetric matrix of
-pairwise feature energies: a convex mix (weighted by ``alpha``) of a
-relevance term and a redundancy term. Diagonal entries are computed by the
-same formula as off-diagonal ones, so a feature's perfect rank correlation
-with itself zeroes the redundancy term there.
+Every variant fills entry (i, j) by one formula,
+``alpha * max(rel_i, rel_j) + (1 - alpha) * (1 - red_ij)``: a convex mix of
+a per-feature relevance vector ``rel`` and a pairwise redundancy term
+``red`` in [0, 1]. The variants differ only in the measure blocks that feed
+the two terms, and ``GRAPHS`` is the one table that says which:
+
+    variant  relevance      redundancy red_ij
+    ifs      std            |spearman_ij|
+    mifs     std            min(rdn_i, rdn_j)
+    sifs     relevance      |spearman_ij|
+
+The measure step reads the same table to compute only the blocks a variant
+uses. Diagonal entries follow the formula too, so a feature's perfect rank
+correlation with itself zeroes the redundancy term there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .measures import MeasureCache
 
-VARIANTS = ("ifs", "mifs", "sifs")
+# The build_measure_cache flag that produces each optional MeasureCache
+# block; ``std`` is always computed.
+_BLOCK_FLAGS = {"spearman": "need_spearman", "rdn": "need_mi_matrix", "relevance": "need_relevance"}
+
+
+@dataclass(frozen=True)
+class Graph:
+    """One variant's inputs to the adjacency formula: the MeasureCache
+    fields holding its relevance vector and its redundancy block, and the
+    map from that block to the m x m redundancy term."""
+
+    relevance: str
+    redundancy: str
+    pairwise: Callable[[np.ndarray], np.ndarray]
+
+    @property
+    def measure_flags(self) -> dict[str, bool]:
+        """build_measure_cache flags for exactly the blocks this variant reads."""
+        blocks = (self.relevance, self.redundancy)
+        return {_BLOCK_FLAGS[b]: True for b in blocks if b in _BLOCK_FLAGS}
+
+
+GRAPHS = {
+    "ifs": Graph("std", "spearman", np.abs),
+    "mifs": Graph("std", "rdn", lambda rdn: np.minimum.outer(rdn, rdn)),
+    "sifs": Graph("relevance", "spearman", np.abs),
+}
 
 
 @dataclass(frozen=True)
@@ -44,87 +80,33 @@ class AdjacencyMatrix:
     def m(self) -> int:
         return self.a.shape[0]
 
-    def to_csv(self, path: str) -> None:
-        """Dump the matrix row-major at full precision, for debugging."""
-        with open(path, "w") as fh:
-            for row in self.a:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
-
-def _check_alpha(alpha: float) -> float:
+def build_adjacency(cache: MeasureCache, variant: str, alpha: float) -> AdjacencyMatrix:
+    """The adjacency matrix of ``variant`` at trade-off ``alpha`` in [0, 1]."""
+    try:
+        graph = GRAPHS[variant]
+    except KeyError:
+        raise ValueError(
+            f"unknown adjacency variant {variant!r}; expected one of {tuple(GRAPHS)}"
+        ) from None
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha
-
-
-def _pairwise_max(v: np.ndarray) -> np.ndarray:
-    return np.maximum.outer(v, v)
-
-
-def _pairwise_min(v: np.ndarray) -> np.ndarray:
-    return np.minimum.outer(v, v)
-
-
-def _finish(a: np.ndarray, variant: str, alpha: float, zero_diagonal: bool) -> AdjacencyMatrix:
-    if zero_diagonal:
-        np.fill_diagonal(a, 0.0)
+    for name in (graph.relevance, graph.redundancy):
+        if getattr(cache, name) is None:
+            raise ValueError(f"{variant} adjacency needs the {name} block")
+    rel, red = getattr(cache, graph.relevance), getattr(cache, graph.redundancy)
+    a = alpha * np.maximum.outer(rel, rel) + (1.0 - alpha) * (1.0 - graph.pairwise(red))
     return AdjacencyMatrix(a, variant, alpha)
 
 
-def build_ifs(cache: MeasureCache, alpha: float, zero_diagonal: bool = False) -> AdjacencyMatrix:
-    """Dispersion relevance plus rank-correlation redundancy.
-
-    Entry (i, j) is ``alpha * max(std_i, std_j)
-    + (1 - alpha) * (1 - |spearman_ij|)``. By default the diagonal follows
-    the same formula (self rank correlation zeroes the redundancy term);
-    ``zero_diagonal`` drops self-loops entirely instead.
-    """
-    alpha = _check_alpha(alpha)
-    if cache.spearman is None:
-        raise ValueError("ifs adjacency needs the spearman block")
-    a = alpha * _pairwise_max(cache.std) + (1.0 - alpha) * (1.0 - np.abs(cache.spearman))
-    return _finish(a, "ifs", alpha, zero_diagonal)
+def build_ifs(cache: MeasureCache, alpha: float) -> AdjacencyMatrix:
+    return build_adjacency(cache, "ifs", alpha)
 
 
-def build_mifs(cache: MeasureCache, alpha: float, zero_diagonal: bool = False) -> AdjacencyMatrix:
-    """Dispersion relevance plus mutual-information redundancy.
-
-    Entry (i, j) is ``alpha * max(std_i, std_j)
-    + (1 - alpha) * (1 - min(rdn_i, rdn_j))``.
-    """
-    alpha = _check_alpha(alpha)
-    if cache.rdn is None:
-        raise ValueError("mifs adjacency needs the rdn block")
-    a = alpha * _pairwise_max(cache.std) + (1.0 - alpha) * (1.0 - _pairwise_min(cache.rdn))
-    return _finish(a, "mifs", alpha, zero_diagonal)
+def build_mifs(cache: MeasureCache, alpha: float) -> AdjacencyMatrix:
+    return build_adjacency(cache, "mifs", alpha)
 
 
-def build_sifs(cache: MeasureCache, alpha: float, zero_diagonal: bool = False) -> AdjacencyMatrix:
-    """Label relevance plus rank-correlation redundancy.
-
-    Entry (i, j) is ``alpha * max(rel_i, rel_j)
-    + (1 - alpha) * (1 - |spearman_ij|)`` where ``rel`` is the normalized
-    mutual information between a feature and the labels.
-    """
-    alpha = _check_alpha(alpha)
-    if cache.relevance is None:
-        raise ValueError("sifs adjacency needs the relevance block (labeled data)")
-    if cache.spearman is None:
-        raise ValueError("sifs adjacency needs the spearman block")
-    a = alpha * _pairwise_max(cache.relevance) + (1.0 - alpha) * (1.0 - np.abs(cache.spearman))
-    return _finish(a, "sifs", alpha, zero_diagonal)
-
-
-_BUILDERS = {"ifs": build_ifs, "mifs": build_mifs, "sifs": build_sifs}
-
-
-def build_adjacency(
-    cache: MeasureCache, variant: str, alpha: float, zero_diagonal: bool = False
-) -> AdjacencyMatrix:
-    """Dispatch to the builder for ``variant``."""
-    try:
-        builder = _BUILDERS[variant]
-    except KeyError:
-        raise ValueError(f"unknown adjacency variant {variant!r}; expected one of {VARIANTS}") from None
-    return builder(cache, alpha, zero_diagonal)
+def build_sifs(cache: MeasureCache, alpha: float) -> AdjacencyMatrix:
+    return build_adjacency(cache, "sifs", alpha)

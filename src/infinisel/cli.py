@@ -2,16 +2,13 @@
 train/test split, or compare several selectors side by side.
 
 Exit codes are a stable contract: 0 on success, 2 for I/O or file-parse
-errors, 3 for configuration or semantic errors. The INFINISEL_THREADS
-environment variable caps the number of worker threads used by `compare`.
+errors, 3 for configuration or semantic errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import SELECTOR_VARIANTS, SelectorConfig
 from .dataset import Dataset, load_csv, load_libsvm
@@ -66,18 +63,19 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
-def _config_from_args(args, variant: str, allow_cv: bool) -> SelectorConfig:
+def _config_from_args(args, variant: str, allow_cv: bool) -> tuple[SelectorConfig, int]:
+    """The selector config for ``variant`` and the fold seed."""
     binning_kind = _BINNING_NAMES.get(args.binning)
     if binning_kind is None:
         raise ConfigError(f"--binning must be 'width' or 'frequency', got {args.binning!r}")
-    return SelectorConfig(
+    config = SelectorConfig(
         variant=_parse_variant(variant),
         alpha=_parse_alpha(args.alpha, allow_cv),
         c=_parse_float(args.c, "--c"),
         preprocessing=args.preprocess,
         binning=BinningPolicy(binning_kind, _parse_int(args.bins, "--bins")),
-        seed=_parse_int(args.seed, "--seed"),
     )
+    return config, _parse_int(args.seed, "--seed")
 
 
 def _load_dataset(path: str, args) -> Dataset:
@@ -104,30 +102,31 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_rank(args) -> int:
-    config = _config_from_args(args, args.variant, allow_cv=False)
+    config, _ = _config_from_args(args, args.variant, allow_cv=False)
     dataset = _load_dataset(args.input, args)
     order, scores = selection_order(dataset, config)
     _write(args.output, _ranking_lines(dataset, order, scores))
     return 0
 
 
-def _run_eval(args, variant: str) -> tuple[EvalReport, str]:
-    config = _config_from_args(args, variant, allow_cv=True)
+def _run_evals(args, variants) -> list[tuple[EvalReport, str]]:
+    """Evaluate each variant in turn on one load of the train/test split;
+    returns each report with its ranking file text."""
+    settings = [_config_from_args(args, v, allow_cv=True) for v in variants]
     d_train = _load_dataset(args.train, args)
     d_test = _load_dataset(args.test, args)
-    report, (order, scores) = evaluate_selector(
-        d_train,
-        d_test,
-        config,
-        n_grid=_parse_n_grid(args.n_grid),
-        seed=config.seed,
-        return_ranking=True,
-    )
-    return report, _ranking_lines(d_train, order, scores)
+    n_grid = _parse_n_grid(args.n_grid)
+    results = []
+    for config, seed in settings:
+        report, (order, scores) = evaluate_selector(
+            d_train, d_test, config, n_grid=n_grid, seed=seed, return_ranking=True
+        )
+        results.append((report, _ranking_lines(d_train, order, scores)))
+    return results
 
 
 def cmd_eval(args) -> int:
-    report, ranking_text = _run_eval(args, args.variant)
+    [(report, ranking_text)] = _run_evals(args, [args.variant])
     base = args.output
     _write(f"{base}.report.txt", report.to_text())
     _write(f"{base}.report.json", report.to_json())
@@ -136,34 +135,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _worker_cap(n_tasks: int) -> int:
-    env = os.environ.get("INFINISEL_THREADS", "")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"INFINISEL_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ConfigError(f"INFINISEL_THREADS must be >= 1, got {cap}")
-    else:
-        cap = 4
-    return max(1, min(n_tasks, cap))
-
-
 def cmd_compare(args) -> int:
     variants = tuple(tok.strip() for tok in args.variants.split(",") if tok.strip())
     if not variants:
         raise ConfigError("--variants must list at least one variant")
     for v in variants:
         _parse_variant(v)
-
-    workers = _worker_cap(len(variants))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_eval, args, v) for v in variants]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_eval(args, v) for v in variants]
+    # Every variant is evaluated before any file is written.
+    results = _run_evals(args, variants)
 
     base = args.output
     summary = ["variant,avg,max"]

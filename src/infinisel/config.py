@@ -31,7 +31,6 @@ class SelectorConfig:
     c: float = 0.9
     preprocessing: str = "auto"
     binning: BinningPolicy = field(default_factory=BinningPolicy)
-    seed: int = 0
 
     def __post_init__(self):
         if self.variant not in SELECTOR_VARIANTS:

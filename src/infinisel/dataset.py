@@ -189,10 +189,12 @@ def load_csv(path: str, label_column: str | None = None, name: str | None = None
     Error messages carry 1-based row/column coordinates.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:  # non-UTF-8 bytes, over-long fields
+        raise DataError(f"{path}: unparseable CSV: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
 
@@ -242,10 +244,12 @@ def load_libsvm(path: str, name: str | None = None) -> Dataset:
     absent indices are zero-filled. The width is the maximum index seen.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
     parsed: list[tuple[int, list[tuple[int, float]]]] = []
     max_idx = 0

@@ -11,7 +11,6 @@ can never influence the selection stage.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import warnings
 from dataclasses import dataclass
@@ -22,10 +21,11 @@ from scipy.stats import rankdata
 from .config import ALPHA_GRID, COST_GRID, SelectorConfig
 from .dataset import Dataset, fit_scaler
 from .errors import ConfigError
-from .scoring import measure_cache_for, rank_from_cache, selection_order
+from .scoring import rank_scaled
 
 DEFAULT_N_GRID = (10, 50, 100, 150, 200)
 DEFAULT_EPOCHS = 200
+DEFAULT_COST = 1.0  # classifier cost when alpha is fixed rather than cross-validated
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,15 @@ class LinearClassifier:
 
 
 def train_linear(
-    x: np.ndarray, y: np.ndarray, cost: float, epochs: int = DEFAULT_EPOCHS, seed: int = 0
+    x: np.ndarray, y: np.ndarray, cost: float, epochs: int = DEFAULT_EPOCHS
 ) -> LinearClassifier:
     """Fit a hinge-loss linear classifier by batch subgradient descent.
 
     Minimizes ``||w||^2 / (2 cost) + mean hinge``; the mean-loss form makes
     the optimization target invariant under duplicating the training set.
     Step sizes backtrack until the objective decreases, so the recorded
-    training loss never increases. Deterministic for fixed inputs; ``seed``
-    is accepted for interface stability but the batch solver does not
-    consume randomness.
+    training loss never increases. Deterministic for fixed inputs.
     """
-    del seed
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -120,16 +117,14 @@ class _OneVsRest:
         return self.classes[np.argmax(scores, axis=1)]
 
 
-def fit_classifier(x, y, cost, epochs=DEFAULT_EPOCHS, seed=0):
+def fit_classifier(x, y, cost):
     """Binary classifier, or a one-vs-rest reduction for more classes."""
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("training data contains a single class")
     if classes.size == 2:
-        return train_linear(x, y, cost, epochs, seed)
-    models = tuple(
-        train_linear(x, np.where(y == c, 1, 0), cost, epochs, seed) for c in classes
-    )
+        return train_linear(x, y, cost)
+    models = tuple(train_linear(x, np.where(y == c, 1, 0), cost) for c in classes)
     return _OneVsRest(models, classes)
 
 
@@ -183,10 +178,10 @@ def _effective_n_grid(n_grid, m) -> tuple[int, ...]:
 
 
 def _top_n_accuracy(
-    train_values, train_labels, test_values, test_labels, order, n, cost, epochs, seed
+    train_values, train_labels, test_values, test_labels, order, n, cost
 ) -> tuple[float, float | None]:
     cols = order[:n]
-    model = fit_classifier(train_values[:, cols], train_labels, cost, epochs, seed)
+    model = fit_classifier(train_values[:, cols], train_labels, cost)
     test_x = test_values[:, cols]
     acc = accuracy(model.predict(test_x), test_labels)
     auc = None
@@ -196,12 +191,7 @@ def _top_n_accuracy(
 
 
 def cross_validate(
-    dataset: Dataset,
-    config_grid,
-    folds: int = 5,
-    seed: int = 0,
-    n_grid=DEFAULT_N_GRID,
-    epochs: int = DEFAULT_EPOCHS,
+    dataset: Dataset, config_grid, folds: int = 5, seed: int = 0, n_grid=DEFAULT_N_GRID
 ):
     """Pick the best (config, cost) pair by stratified k-fold accuracy.
 
@@ -218,17 +208,15 @@ def cross_validate(
     assignment = stratified_fold_indices(dataset.labels, folds, seed)
     n_eval = _effective_n_grid(n_grid, dataset.m)
 
-    # Rankings do not depend on the classifier cost, and the measure cache
-    # is further independent of alpha and c, so group grid entries twice:
-    # one cache per (variant, preprocessing, binning), one ranking per
-    # config.
+    # Rankings do not depend on the classifier cost, so rank each distinct
+    # config once per fold; configs sharing a preprocessing scheme share
+    # one fitted scaler, and rank_scaled shares their measure blocks.
     positions_by_config: dict[SelectorConfig, list[int]] = {}
     for pos, (config, _) in enumerate(config_grid):
         positions_by_config.setdefault(config, []).append(pos)
-    cache_groups: dict[tuple, list[SelectorConfig]] = {}
+    configs_by_scheme: dict[str, list[SelectorConfig]] = {}
     for config in positions_by_config:
-        key = (config.variant, config.resolved_preprocessing, config.binning)
-        cache_groups.setdefault(key, []).append(config)
+        configs_by_scheme.setdefault(config.resolved_preprocessing, []).append(config)
 
     scores = np.zeros(len(config_grid))
     for fold in range(folds):
@@ -238,28 +226,19 @@ def cross_validate(
         )
         val_values_raw = dataset.values[~train_mask]
         val_labels = dataset.labels[~train_mask]
-        for (variant, scheme, _), group in cache_groups.items():
+        for scheme, configs in configs_by_scheme.items():
             scaler = fit_scaler(train_ds.values, scheme)
             scaled_train = train_ds.with_values(scaler.apply(train_ds.values))
             val_values = scaler.apply(val_values_raw)
-            cache = None
-            if variant != "mrmr":
-                cache = measure_cache_for(
-                    scaled_train, dataclasses.replace(group[0], preprocessing="none")
-                )
-            for config in group:
-                if variant == "mrmr":
-                    order, _ = selection_order(
-                        scaled_train, dataclasses.replace(config, preprocessing="none")
-                    )
-                else:
-                    order = rank_from_cache(cache, config).order
+            orders = rank_scaled(scaled_train, configs)
+            for config in configs:
+                order = orders[config][0]
                 for pos in positions_by_config[config]:
                     cost = config_grid[pos][1]
                     accs = [
                         _top_n_accuracy(
                             scaled_train.values, train_ds.labels, val_values, val_labels,
-                            order, n, cost, epochs, seed,
+                            order, n, cost,
                         )[0]
                         for n in n_eval
                     ]
@@ -337,8 +316,6 @@ def evaluate_selector(
     seed: int = 0,
     folds: int = 5,
     cost_grid=COST_GRID,
-    default_cost: float = 1.0,
-    epochs: int = DEFAULT_EPOCHS,
     return_ranking: bool = False,
 ):
     """Run the full train/test protocol for one selector configuration.
@@ -362,18 +339,14 @@ def evaluate_selector(
         grid = [
             (config.with_alpha(a), cost) for a in alphas for cost in cost_grid
         ]
-        (chosen_config, chosen_cost), _ = cross_validate(
-            d_train, grid, folds, seed, n_grid, epochs
-        )
+        (chosen_config, chosen_cost), _ = cross_validate(d_train, grid, folds, seed, n_grid)
     else:
         chosen_config = config
-        chosen_cost = default_cost
+        chosen_cost = DEFAULT_COST
 
     scaler = fit_scaler(d_train.values, chosen_config.resolved_preprocessing)
     train_ds = d_train.with_values(scaler.apply(d_train.values))
-    order, rank_scores = selection_order(
-        train_ds, dataclasses.replace(chosen_config, preprocessing="none")
-    )
+    order, rank_scores = rank_scaled(train_ds, [chosen_config])[chosen_config]
     test_values = scaler.apply(d_test.values)
 
     n_eval = _effective_n_grid(n_grid, d_train.m)
@@ -388,7 +361,7 @@ def evaluate_selector(
     for n in n_eval:
         acc, auc = _top_n_accuracy(
             train_ds.values, d_train.labels, test_values, d_test.labels,
-            order, n, chosen_cost, epochs, seed,
+            order, n, chosen_cost,
         )
         per_n_accuracy[n] = acc
         if binary and auc is not None:

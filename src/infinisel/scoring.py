@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import AdjacencyMatrix, build_adjacency
+from .adjacency import GRAPHS, AdjacencyMatrix, build_adjacency
 from .config import SelectorConfig
 from .dataset import Dataset, preprocess
 from .errors import ConfigError
 from .measures import build_measure_cache
+from .mrmr import mrmr_select
 
 
 @dataclass(frozen=True)
@@ -80,11 +81,6 @@ def spectral_radius(a, tol: float = 1e-10, max_iter: int = 10000) -> float:
     )
 
 
-def ranking_order(scores: np.ndarray) -> np.ndarray:
-    """Indices sorted by descending score, ties broken by ascending index."""
-    return np.argsort(-np.asarray(scores), kind="stable").astype(np.int64)
-
-
 def energy_scores(a, c: float = 0.9) -> FeatureRanking:
     """Rank features by the closed-form all-lengths walk energy.
 
@@ -113,7 +109,7 @@ def energy_scores(a, c: float = 0.9) -> FeatureRanking:
     except np.linalg.LinAlgError as exc:  # cannot happen while r*rho < 1
         raise RuntimeError(f"energy score system is singular: {exc}") from None
     scores = y - 1.0
-    return FeatureRanking(ranking_order(scores), scores, r, rho)
+    return FeatureRanking(np.argsort(-scores, kind="stable"), scores, r, rho)
 
 
 def truncated_energy_scores(a, r: float, max_len: int) -> np.ndarray:
@@ -139,33 +135,41 @@ def truncation_length(c: float, tol: float = 1e-10) -> int:
     return int(np.ceil(np.log(tol * (1.0 - c)) / np.log(c)))
 
 
-_CACHE_NEEDS = {
-    "ifs": dict(need_spearman=True),
-    "mifs": dict(need_mi_matrix=True),
-    "sifs": dict(need_spearman=True, need_relevance=True),
-}
+def _energy_rankings(scaled: Dataset, configs) -> list[FeatureRanking]:
+    """Graph-energy rankings of configs that share a variant and a binning
+    policy, on preprocessed data: one measure cache, then one adjacency
+    build and one solve per config."""
+    variant, binning = configs[0].variant, configs[0].binning
+    if variant not in GRAPHS:
+        raise ConfigError(f"variant {variant!r} does not produce a graph-energy ranking")
+    if scaled.m < 2:
+        raise ConfigError(f"ranking needs at least 2 features, got {scaled.m}")
+    cache = build_measure_cache(scaled, binning, **GRAPHS[variant].measure_flags)
+    return [energy_scores(build_adjacency(cache, variant, c.fixed_alpha), c.c) for c in configs]
 
 
-def measure_cache_for(dataset: Dataset, config: SelectorConfig):
-    """The measure blocks a graph variant needs, on preprocessed data.
+def rank_scaled(scaled: Dataset, configs) -> dict[SelectorConfig, tuple[np.ndarray, np.ndarray]]:
+    """Feature ordering for each config on already-preprocessed data.
 
-    Split out of rank_features because the cache is independent of alpha
-    and c: hyperparameter sweeps can reuse one cache per dataset.
+    The one ranking path: measure blocks depend only on the variant and the
+    binning policy, so they are computed once per (variant, binning) and
+    shared by every config in that group (mrmr, which has no trade-off,
+    runs its greedy selection once per group). Maps each config to
+    ``(order, scores_by_rank)`` as returned by ``selection_order``.
     """
-    if config.variant not in _CACHE_NEEDS:
-        raise ConfigError(f"variant {config.variant!r} does not produce a graph-energy ranking")
-    if dataset.m < 2:
-        raise ConfigError(f"ranking needs at least 2 features, got {dataset.m}")
-    if config.variant == "sifs" and dataset.labels is None:
-        raise ConfigError("sifs requires a labeled dataset")
-    prepared = preprocess(dataset, config.resolved_preprocessing)
-    return build_measure_cache(prepared, config.binning, **_CACHE_NEEDS[config.variant])
-
-
-def rank_from_cache(cache, config: SelectorConfig) -> FeatureRanking:
-    """Adjacency construction plus energy scoring from ready-made measures."""
-    adjacency = build_adjacency(cache, config.variant, config.fixed_alpha)
-    return energy_scores(adjacency, config.c)
+    groups: dict[tuple, list[SelectorConfig]] = {}
+    for config in configs:
+        groups.setdefault((config.variant, config.binning), []).append(config)
+    out = {}
+    for (variant, binning), group in groups.items():
+        if variant == "mrmr":
+            selection = mrmr_select(scaled, scaled.m, binning)
+            order = np.asarray(selection.order, dtype=np.int64)
+            out.update(dict.fromkeys(group, (order, np.asarray(selection.objective_trace))))
+        else:
+            for config, ranking in zip(group, _energy_rankings(scaled, group)):
+                out[config] = (ranking.order, ranking.scores[ranking.order])
+    return out
 
 
 def rank_features(dataset: Dataset, config: SelectorConfig) -> FeatureRanking:
@@ -175,7 +179,7 @@ def rank_features(dataset: Dataset, config: SelectorConfig) -> FeatureRanking:
     Deterministic for fixed inputs. Requires at least 2 features; the sifs
     variant additionally requires labels.
     """
-    return rank_from_cache(measure_cache_for(dataset, config), config)
+    return _energy_rankings(preprocess(dataset, config.resolved_preprocessing), [config])[0]
 
 
 def selection_order(dataset: Dataset, config: SelectorConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -186,11 +190,4 @@ def selection_order(dataset: Dataset, config: SelectorConfig) -> tuple[np.ndarra
     score attached to the feature at rank position ``p``: the energy score
     for graph variants, the greedy objective value for mrmr.
     """
-    if config.variant == "mrmr":
-        from .mrmr import mrmr_select
-
-        prepared = preprocess(dataset, config.resolved_preprocessing)
-        selection = mrmr_select(prepared, dataset.m, config.binning)
-        return np.asarray(selection.order, dtype=np.int64), np.asarray(selection.objective_trace)
-    ranking = rank_features(dataset, config)
-    return ranking.order, ranking.scores[ranking.order]
+    return rank_scaled(preprocess(dataset, config.resolved_preprocessing), [config])[config]

@@ -150,23 +150,3 @@ class TestMatrixProperties:
     def test_constructor_rejects_negatives(self):
         with pytest.raises(ValueError, match="nonnegative"):
             AdjacencyMatrix(np.full((2, 2), -0.5), "ifs", 0.5)
-
-    @pytest.mark.parametrize("builder", [build_ifs, build_mifs, build_sifs])
-    def test_zero_diagonal_switch(self, builder):
-        rng = np.random.default_rng(25)
-        cache = random_cache(rng, 5)
-        with_loops = builder(cache, 0.4)
-        without = builder(cache, 0.4, zero_diagonal=True)
-        np.testing.assert_array_equal(np.diag(without.a), np.zeros(5))
-        off = ~np.eye(5, dtype=bool)
-        np.testing.assert_array_equal(without.a[off], with_loops.a[off])
-
-    def test_csv_dump_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(24)
-        a = build_ifs(random_cache(rng, 4), 0.7)
-        path = tmp_path / "adj.csv"
-        a.to_csv(str(path))
-        back = np.array(
-            [[float(tok) for tok in line.split(",")] for line in path.read_text().splitlines()]
-        )
-        np.testing.assert_array_equal(back, a.a)

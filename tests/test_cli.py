@@ -103,6 +103,13 @@ class TestRankCommand:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["rank", str(tmp_path / "nope.csv")]) == 2
 
+    def test_undecodable_file_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
+        assert main(["rank", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
     def test_libsvm_input(self, tmp_path):
         p = tmp_path / "d.svm"
         p.write_text("1 1:0.5 2:1.0\n0 1:1.5 2:0.2\n1 1:0.1 2:1.1\n0 2:0.3\n")
@@ -198,17 +205,26 @@ class TestCompareCommand:
         assert code == 3
         assert "bogus" in capsys.readouterr().err
 
-    def test_thread_cap_respected(self, tmp_path, labeled_csv, test_csv, monkeypatch):
-        monkeypatch.setenv("INFINISEL_THREADS", "1")
-        base = tmp_path / "seq"
-        code = main(["compare", labeled_csv, test_csv, "--variants", "ifs,mifs",
-                     "--alpha", "0.5", "--label-column", "y", "--n-grid", "2",
-                     "--output", str(base)])
-        assert code == 0
-        assert (tmp_path / "seq.summary.txt").exists()
+    def test_reports_match_eval_per_variant(self, tmp_path, labeled_csv, test_csv):
+        common = ["--alpha", "0.5", "--label-column", "y", "--n-grid", "2,4"]
+        assert main(["compare", labeled_csv, test_csv, *common,
+                     "--output", str(tmp_path / "cmp")]) == 0
+        for variant in ("ifs", "mifs", "sifs", "mrmr"):
+            base = tmp_path / f"eval-{variant}"
+            assert main(["eval", labeled_csv, test_csv, "--variant", variant, *common,
+                         "--output", str(base)]) == 0
+            for ext in ("report.txt", "report.json"):
+                compared = (tmp_path / f"cmp.{variant}.{ext}").read_bytes()
+                assert compared == (tmp_path / f"eval-{variant}.{ext}").read_bytes()
 
-    def test_bad_thread_env_exit_three(self, tmp_path, labeled_csv, test_csv, monkeypatch):
-        monkeypatch.setenv("INFINISEL_THREADS", "lots")
-        code = main(["compare", labeled_csv, test_csv, "--alpha", "0.5",
-                     "--label-column", "y", "--output", str(tmp_path / "x")])
+    def test_no_output_when_a_later_variant_fails(self, tmp_path):
+        # One feature: mrmr can rank it, but a graph variant needs two.
+        rng = np.random.default_rng(94)
+        train = write_csv(tmp_path / "tr.csv", rng.normal(size=(30, 1)),
+                          labels=rng.integers(0, 2, 30))
+        test = write_csv(tmp_path / "te.csv", rng.normal(size=(20, 1)),
+                         labels=rng.integers(0, 2, 20))
+        code = main(["compare", train, test, "--variants", "mrmr,ifs", "--alpha", "0.5",
+                     "--label-column", "y", "--n-grid", "1", "--output", str(tmp_path / "x")])
         assert code == 3
+        assert not list(tmp_path.glob("x.*"))

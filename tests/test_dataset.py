@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-integer label"):
             load_csv(p, label_column="y")
 
+    def test_non_utf8_bytes(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        with pytest.raises(DataError, match=re.escape(str(p))):
+            load_csv(str(p))
+
+    def test_field_over_csv_limit(self, tmp_path):
+        p = write(tmp_path / "d.csv", "a,b\n1," + "2" * 131073 + "\n")
+        with pytest.raises(DataError, match=re.escape(p)):
+            load_csv(p)
+
 
 class TestLoadLibsvm:
     def test_basic(self, tmp_path):
@@ -133,6 +146,12 @@ class TestLoadLibsvm:
         p = write(tmp_path / "d.svm", "\n\n")
         with pytest.raises(DataError, match="empty"):
             load_libsvm(p)
+
+    def test_non_utf8_bytes(self, tmp_path):
+        p = tmp_path / "d.svm"
+        p.write_bytes(b"1 1:0.5\n0 1:\xe9\n")
+        with pytest.raises(DataError, match=re.escape(str(p))):
+            load_libsvm(str(p))
 
 
 class TestPreprocess:

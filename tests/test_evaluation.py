@@ -10,6 +10,7 @@ from infinisel import (
     binary_auc,
     cross_validate,
     evaluate_selector,
+    selection_order,
     stratified_fold_indices,
     train_linear,
 )
@@ -46,8 +47,8 @@ class TestTrainLinear:
     def test_duplicated_training_set_same_classifier(self):
         rng = np.random.default_rng(62)
         x, y = separable_clouds(rng, 20, spread=0.5)
-        base = train_linear(x, y, cost=1.0, seed=7)
-        doubled = train_linear(np.vstack([x, x]), np.concatenate([y, y]), cost=1.0, seed=7)
+        base = train_linear(x, y, cost=1.0)
+        doubled = train_linear(np.vstack([x, x]), np.concatenate([y, y]), cost=1.0)
         np.testing.assert_allclose(doubled.weights, base.weights, atol=1e-9)
         assert abs(doubled.bias - base.bias) <= 1e-9
 
@@ -219,6 +220,20 @@ class TestEvaluateSelector:
         assert parsed["avg"] == report.avg
         text = report.to_text()
         assert "avg=" in text and f"accuracy_n2={report.per_n_accuracy[2]!r}" in text
+
+
+    @pytest.mark.parametrize("variant", ["ifs", "mifs", "sifs", "mrmr"])
+    def test_ranking_is_selection_order_on_train(self, variant):
+        rng = np.random.default_rng(82)
+        train = labeled_dataset(rng, 40, 6)
+        test = labeled_dataset(rng, 30, 6)
+        config = SelectorConfig(variant=variant, alpha=0.3)
+        _, (order, scores) = evaluate_selector(
+            train, test, config, n_grid=(3,), return_ranking=True
+        )
+        expected_order, expected_scores = selection_order(train, config)
+        np.testing.assert_array_equal(order, expected_order)
+        assert scores.tobytes() == expected_scores.tobytes()
 
 
 class TestCrossValidate:
