@@ -75,7 +75,10 @@ def _config_from_args(args, variant: str, allow_cv: bool) -> tuple[SelectorConfi
         preprocessing=args.preprocess,
         binning=BinningPolicy(binning_kind, _parse_int(args.bins, "--bins")),
     )
-    return config, _parse_int(args.seed, "--seed")
+    seed = _parse_int(args.seed, "--seed")
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
+    return config, seed
 
 
 def _load_dataset(path: str, args) -> Dataset:

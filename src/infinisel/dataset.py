@@ -170,14 +170,19 @@ def _parse_cell(token: str, row: int, col: int, colname: str | None) -> float:
 
 
 def _parse_label(token: str, row: int, col: int) -> int:
+    # int() first: float() would merge distinct labels above 2**53.
     token = token.strip()
+    where = f"row {row}, column {col}"
     try:
-        value = float(token)
+        value = int(token)
     except ValueError:
-        raise DataError(f"non-integer label {token!r} at row {row}, column {col}") from None
-    if not math.isfinite(value) or value != int(value):
-        raise DataError(f"non-integer label {token!r} at row {row}, column {col}")
-    return int(value)
+        real = float(token) if _is_number(token) else math.nan
+        if not real.is_integer():
+            raise DataError(f"non-integer label {token!r} at {where}") from None
+        value = int(real)
+    if not -(2**63) <= value < 2**63:
+        raise DataError(f"label {token!r} at {where} is outside the 64-bit integer range")
+    return value
 
 
 def load_csv(path: str, label_column: str | None = None, name: str | None = None) -> Dataset:

@@ -5,6 +5,8 @@ deviation, Spearman rank correlation with midrank tie handling, plug-in
 mutual information over discretized histograms, and the per-feature mean
 redundancy aggregate.
 
+Every MI-based measure (the pairwise block, the scalar measures, label
+relevance and mRMR) shares one raw-MI kernel and per-column entropies.
 Mutual information uses natural logarithms and is normalized by the smaller
 marginal entropy wherever a [0, 1] scale is required. Histogram sums are
 accumulated with ``math.fsum`` so that every measure is exactly symmetric
@@ -85,12 +87,7 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     Returns 0 when either vector is constant (no monotone association is
     expressible).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    if x.size < 2:
-        raise ValueError("need at least 2 samples")
+    x, y = _check_pair(x, y)
     return _rank_correlation(_midranks(x), _midranks(y))
 
 
@@ -123,26 +120,40 @@ def label_codes(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return codes.astype(np.int64), int(classes.size)
 
 
-def _entropy_from_codes(codes: np.ndarray, bins: int) -> float:
+def _entropy(codes: np.ndarray, bins: int) -> float:
     p = np.bincount(codes, minlength=bins) / codes.size
     return -math.fsum(pi * math.log(pi) for pi in p if pi > 0.0)
 
 
-def _mi_from_codes(cx: np.ndarray, bx: int, cy: np.ndarray, by: int) -> float:
+def _mi(cx: np.ndarray, bx: int, cy: np.ndarray, by: int) -> float:
+    """Raw plug-in MI (nats), summed over the occupied cells of the joint table."""
     n = cx.size
     counts = np.bincount(cx * by + cy, minlength=bx * by).reshape(bx, by)
     # Marginals from integer counts: exact sums, so histograms that are
     # permutations of each other give bitwise-identical MI values.
     px = counts.sum(axis=1) / n
     py = counts.sum(axis=0) / n
-    joint = counts / n
-    mi = math.fsum(
-        joint[a, b] * math.log(joint[a, b] / (px[a] * py[b]))
-        for a in range(bx)
-        for b in range(by)
-        if counts[a, b] > 0
-    )
+    a, b = np.nonzero(counts)
+    joint = counts[a, b] / n
+    ratio = joint / (px[a] * py[b])
+    mi = math.fsum(p * math.log(r) for p, r in zip(joint.tolist(), ratio.tolist()))
     return max(mi, 0.0)
+
+
+def _nmi(mi: float, h_i: float, h_j: float) -> float:
+    h = min(h_i, h_j)
+    if h == 0.0:
+        return 0.0
+    return min(mi / h, 1.0)
+
+
+def _symmetric_block(m: int, pair) -> np.ndarray:
+    # One evaluation per pair i <= j fills both halves: exactly symmetric.
+    block = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            block[i, j] = block[j, i] = pair(i, j)
+    return block
 
 
 def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,16 +169,7 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def mutual_information(x: np.ndarray, y: np.ndarray, policy: BinningPolicy) -> float:
     """Plug-in mutual information (nats) over the discretized joint histogram."""
     x, y = _check_pair(x, y)
-    cx, bx = discretize(x, policy)
-    cy, by = discretize(y, policy)
-    return _mi_from_codes(cx, bx, cy, by)
-
-
-def _nmi_from_codes(cx: np.ndarray, bx: int, cy: np.ndarray, by: int) -> float:
-    h = min(_entropy_from_codes(cx, bx), _entropy_from_codes(cy, by))
-    if h == 0.0:
-        return 0.0
-    return min(_mi_from_codes(cx, bx, cy, by) / h, 1.0)
+    return _mi(*discretize(x, policy), *discretize(y, policy))
 
 
 def normalized_mi(x: np.ndarray, y: np.ndarray, policy: BinningPolicy) -> float:
@@ -179,7 +181,7 @@ def normalized_mi(x: np.ndarray, y: np.ndarray, policy: BinningPolicy) -> float:
     x, y = _check_pair(x, y)
     cx, bx = discretize(x, policy)
     cy, by = discretize(y, policy)
-    return _nmi_from_codes(cx, bx, cy, by)
+    return _nmi(_mi(cx, bx, cy, by), _entropy(cx, bx), _entropy(cy, by))
 
 
 def rdn(dataset: Dataset, i: int, policy: BinningPolicy) -> float:
@@ -200,7 +202,7 @@ def relevance_to_labels(dataset: Dataset, i: int, policy: BinningPolicy) -> floa
         raise ConfigError("label relevance requires a labeled dataset")
     cx, bx = discretize(dataset.values[:, i], policy)
     cy, by = label_codes(dataset.labels)
-    return _nmi_from_codes(cx, bx, cy, by)
+    return _nmi(_mi(cx, bx, cy, by), _entropy(cx, bx), _entropy(cy, by))
 
 
 def build_measure_cache(
@@ -225,29 +227,18 @@ def build_measure_cache(
     spearman_block = None
     if need_spearman:
         ranks = [_midranks(values[:, i]) for i in range(m)]
-        spearman_block = np.empty((m, m))
-        for i in range(m):
-            spearman_block[i, i] = _rank_correlation(ranks[i], ranks[i])
-            for j in range(i + 1, m):
-                r = _rank_correlation(ranks[i], ranks[j])
-                spearman_block[i, j] = r
-                spearman_block[j, i] = r
+        spearman_block = _symmetric_block(m, lambda i, j: _rank_correlation(ranks[i], ranks[j]))
 
     mi_block = None
     rdn_block = None
-    codes = None
+    relevance_block = None
     if need_mi_matrix or need_relevance:
         codes = [discretize(values[:, i], policy) for i in range(m)]
+        entropy = [_entropy(c, b) for c, b in codes]
     if need_mi_matrix:
-        mi_block = np.empty((m, m))
-        for i in range(m):
-            ci, bi = codes[i]
-            mi_block[i, i] = _nmi_from_codes(ci, bi, ci, bi)
-            for j in range(i + 1, m):
-                cj, bj = codes[j]
-                v = _nmi_from_codes(ci, bi, cj, bj)
-                mi_block[i, j] = v
-                mi_block[j, i] = v
+        mi_block = _symmetric_block(
+            m, lambda i, j: _nmi(_mi(*codes[i], *codes[j]), entropy[i], entropy[j])
+        )
         rdn_block = np.empty(m)
         for i in range(m):
             acc = 0.0
@@ -255,13 +246,11 @@ def build_measure_cache(
                 if j != i:
                     acc += mi_block[i, j]
             rdn_block[i] = acc / (m - 1) if m > 1 else 0.0
-
-    relevance_block = None
     if need_relevance:
         cy, by = label_codes(dataset.labels)
-        relevance_block = np.empty(m)
-        for i in range(m):
-            ci, bi = codes[i]
-            relevance_block[i] = _nmi_from_codes(ci, bi, cy, by)
+        hy = _entropy(cy, by)
+        relevance_block = np.array(
+            [_nmi(_mi(ci, bi, cy, by), h, hy) for (ci, bi), h in zip(codes, entropy)]
+        )
 
     return MeasureCache(std, spearman_block, mi_block, rdn_block, relevance_block)

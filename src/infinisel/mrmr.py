@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError
-from .measures import BinningPolicy, _mi_from_codes, discretize, label_codes
+from .measures import BinningPolicy, _mi, discretize, label_codes
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def mrmr_select(dataset: Dataset, k: int, policy: BinningPolicy) -> MrmrSelectio
 
     codes = [discretize(dataset.values[:, i], policy) for i in range(m)]
     cy, by = label_codes(dataset.labels)
-    relevance = np.array([_mi_from_codes(ci, bi, cy, by) for ci, bi in codes])
+    relevance = np.array([_mi(ci, bi, cy, by) for ci, bi in codes])
 
     order: list[int] = []
     trace: list[float] = []
@@ -55,9 +55,7 @@ def mrmr_select(dataset: Dataset, k: int, policy: BinningPolicy) -> MrmrSelectio
         trace.append(float(scores[pos]))
         remaining.pop(pos)
         if remaining and step + 1 < k:
-            cb, bb = codes[best]
             for f in remaining:
-                cf, bf = codes[f]
-                redundancy_sum[f] += _mi_from_codes(cf, bf, cb, bb)
+                redundancy_sum[f] += _mi(*codes[f], *codes[best])
 
     return MrmrSelection(tuple(order), tuple(trace))

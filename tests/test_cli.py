@@ -110,6 +110,13 @@ class TestRankCommand:
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
 
+    def test_out_of_range_label_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n1,0\n2,1e20\n")
+        assert main(["rank", str(bad), "--label-column", "y"]) == 2
+        err = capsys.readouterr().err
+        assert "row 3, column 2" in err and "Traceback" not in err
+
     def test_libsvm_input(self, tmp_path):
         p = tmp_path / "d.svm"
         p.write_text("1 1:0.5 2:1.0\n0 1:1.5 2:0.2\n1 1:0.1 2:1.1\n0 2:0.3\n")
@@ -166,6 +173,16 @@ class TestEvalCommand:
         text = (tmp_path / "cv.report.txt").read_text()
         alpha = float(text.splitlines()[1].split("=")[1])
         assert 0.0 <= alpha <= 1.0
+
+    @pytest.mark.parametrize("command", ["rank", "eval", "compare"])
+    def test_negative_seed_exit_three(self, tmp_path, labeled_csv, test_csv, command, capsys):
+        inputs = [labeled_csv]
+        if command != "rank":
+            inputs += [test_csv, "--alpha", "cv", "--output", str(tmp_path / "x")]
+        code = main([command, *inputs, "--seed", "-1", "--label-column", "y"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
 
     def test_mismatched_feature_counts_exit_three(self, tmp_path, labeled_csv, capsys):
         rng = np.random.default_rng(93)

@@ -96,6 +96,22 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-integer label"):
             load_csv(p, label_column="y")
 
+    @pytest.mark.parametrize("token", ["1e20", "9223372036854775808", "-9223372036854775809"])
+    def test_label_outside_int64(self, tmp_path, token):
+        p = write(tmp_path / "d.csv", f"x,y\n1,0\n2,{token}\n")
+        with pytest.raises(DataError, match=r"row 3, column 2"):
+            load_csv(p, label_column="y")
+
+    def test_labels_above_2_53_stay_distinct(self, tmp_path):
+        p = write(tmp_path / "d.csv", "x,y\n1,9007199254740993\n2,9007199254740992\n")
+        d = load_csv(p, label_column="y")
+        assert d.labels.tolist() == [2**53 + 1, 2**53]
+
+    def test_integral_float_labels(self, tmp_path):
+        p = write(tmp_path / "d.csv", "x,y\n1,1.0\n2,-2e0\n3,+3\n")
+        d = load_csv(p, label_column="y")
+        assert d.labels.tolist() == [1, -2, 3]
+
     def test_non_utf8_bytes(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_bytes(b"a,b\n1,2\n3,\xff\n")
@@ -141,6 +157,15 @@ class TestLoadLibsvm:
         p = write(tmp_path / "d.svm", "+1 1:1\n-1 1:2\n")
         d = load_libsvm(p)
         np.testing.assert_array_equal(d.labels, [1, -1])
+
+    def test_label_outside_int64(self, tmp_path):
+        p = write(tmp_path / "d.svm", "0 1:1\n1e20 1:2\n")
+        with pytest.raises(DataError, match=r"row 2, column 1"):
+            load_libsvm(p)
+
+    def test_labels_above_2_53_stay_distinct(self, tmp_path):
+        p = write(tmp_path / "d.svm", "9007199254740993 1:1\n9007199254740992 1:2\n")
+        assert load_libsvm(p).labels.tolist() == [2**53 + 1, 2**53]
 
     def test_empty_file(self, tmp_path):
         p = write(tmp_path / "d.svm", "\n\n")

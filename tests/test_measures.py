@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import plugin_mi
+
 from infinisel import (
     BinningPolicy,
     ConfigError,
@@ -289,3 +291,38 @@ class TestMeasureCache:
         np.testing.assert_array_equal(cache.spearman, cache.spearman.T)
         np.testing.assert_array_equal(cache.mi, cache.mi.T)
         assert cache.mi.min() >= 0.0
+
+
+class TestKernelExactness:
+    """Categorical columns with unequal bin counts and empty joint cells."""
+
+    @staticmethod
+    def categorical(rng, n):
+        levels = rng.normal(size=int(rng.integers(1, 9)))
+        return levels[rng.integers(0, levels.size, n)]
+
+    def test_scalar_mi_matches_oracle_bitwise(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(6, 61))
+            x, y = self.categorical(rng, n), self.categorical(rng, n)
+            codes_x = np.unique(x, return_inverse=True)[1]
+            codes_y = np.unique(y, return_inverse=True)[1]
+            got = mutual_information(x, y, POLICY)
+            assert got == max(plugin_mi(codes_x, codes_y), 0.0)
+            assert got == mutual_information(y, x, POLICY)
+
+    def test_blocks_match_scalar_measures_bitwise(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            n = int(rng.integers(6, 61))
+            values = np.column_stack([self.categorical(rng, n) for _ in range(5)])
+            labels = rng.integers(0, 3, n)
+            labels[:2] = [0, 1]
+            d = Dataset(values, labels=labels)
+            cache = build_measure_cache(d, POLICY, need_mi_matrix=True, need_relevance=True)
+            for i in range(d.m):
+                assert cache.relevance[i] == relevance_to_labels(d, i, POLICY)
+                assert cache.rdn[i] == rdn(d, i, POLICY)
+                for j in range(d.m):
+                    assert cache.mi[i, j] == normalized_mi(values[:, i], values[:, j], POLICY)
