@@ -13,7 +13,7 @@ import sys
 from .config import SELECTOR_VARIANTS, SelectorConfig
 from .dataset import Dataset, load_csv, load_libsvm
 from .errors import ConfigError, DataError
-from .evaluation import DEFAULT_N_GRID, EvalReport, evaluate_selector
+from .evaluation import DEFAULT_N_GRID, evaluate_selector
 from .measures import BinningPolicy
 from .scoring import selection_order
 
@@ -112,9 +112,10 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _run_evals(args, variants) -> list[tuple[EvalReport, str]]:
+def _run_evals(args, variants):
     """Evaluate each variant in turn on one load of the train/test split;
-    returns each report with its ranking file text."""
+    returns the training split and, per variant, the report with the
+    ranking order and scores on the training split."""
     settings = [_config_from_args(args, v, allow_cv=True) for v in variants]
     d_train = _load_dataset(args.train, args)
     d_test = _load_dataset(args.test, args)
@@ -124,16 +125,16 @@ def _run_evals(args, variants) -> list[tuple[EvalReport, str]]:
         report, (order, scores) = evaluate_selector(
             d_train, d_test, config, n_grid=n_grid, seed=seed, return_ranking=True
         )
-        results.append((report, _ranking_lines(d_train, order, scores)))
-    return results
+        results.append((report, order, scores))
+    return d_train, results
 
 
 def cmd_eval(args) -> int:
-    [(report, ranking_text)] = _run_evals(args, [args.variant])
+    d_train, [(report, order, scores)] = _run_evals(args, [args.variant])
     base = args.output
     _write(f"{base}.report.txt", report.to_text())
     _write(f"{base}.report.json", report.to_json())
-    _write(f"{base}.ranking.csv", ranking_text)
+    _write(f"{base}.ranking.csv", _ranking_lines(d_train, order, scores))
     sys.stdout.write(f"avg={report.avg!r} max={report.max!r}\n")
     return 0
 
@@ -144,12 +145,15 @@ def cmd_compare(args) -> int:
         raise ConfigError("--variants must list at least one variant")
     for v in variants:
         _parse_variant(v)
+    repeated = sorted({v for v in variants if variants.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"--variants lists {', '.join(repeated)} more than once")
     # Every variant is evaluated before any file is written.
-    results = _run_evals(args, variants)
+    _, results = _run_evals(args, variants)
 
     base = args.output
     summary = ["variant,avg,max"]
-    for variant, (report, _) in zip(variants, results):
+    for variant, (report, _, _) in zip(variants, results):
         _write(f"{base}.{variant}.report.txt", report.to_text())
         _write(f"{base}.{variant}.report.json", report.to_json())
         summary.append(f"{variant},{report.avg!r},{report.max!r}")
@@ -165,8 +169,8 @@ def _add_common_flags(sub, default_alpha: str) -> None:
                      help="relevance/redundancy trade-off in [0, 1], or 'cv' (eval/compare only)")
     sub.add_argument("--c", default="0.9", help="regularization fraction in (0, 1)")
     sub.add_argument("--preprocess", default="auto",
-                     choices=("none", "normalize", "standardize", "auto"),
-                     help="per-feature preprocessing; 'auto' resolves per variant")
+                     help="per-feature preprocessing: none, normalize, standardize, or auto "
+                          "(resolves per variant)")
     sub.add_argument("--bins", default="10", help="histogram bin count for mutual information")
     sub.add_argument("--binning", default="frequency", help="binning rule: width or frequency")
     sub.add_argument("--label-column", default=None, help="CSV column holding class labels")

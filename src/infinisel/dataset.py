@@ -185,7 +185,7 @@ def _parse_label(token: str, row: int, col: int) -> int:
     return value
 
 
-def load_csv(path: str, label_column: str | None = None, name: str | None = None) -> Dataset:
+def load_csv(path: str, label_column: str | None = None) -> Dataset:
     """Load a comma-separated dataset.
 
     The first row is treated as a header iff any of its cells is
@@ -236,13 +236,10 @@ def load_csv(path: str, label_column: str | None = None, name: str | None = None
     feature_names = None
     if header is not None:
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-    try:
-        return Dataset(values, labels, feature_names, name if name is not None else path)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return Dataset(values, labels, feature_names, path)
 
 
-def load_libsvm(path: str, name: str | None = None) -> Dataset:
+def load_libsvm(path: str) -> Dataset:
     """Load a sparse ``label idx:val`` dataset.
 
     Indices are 1-based and must be strictly increasing within a line;
@@ -301,7 +298,4 @@ def load_libsvm(path: str, name: str | None = None) -> Dataset:
         labels[r] = label
         for idx, val in pairs:
             values[r, idx - 1] = val
-    try:
-        return Dataset(values, labels, None, name if name is not None else path)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return Dataset(values, labels, None, path)

@@ -4,9 +4,11 @@ and maximum test accuracy.
 
 Hyperparameters (the relevance/redundancy trade-off and the classifier
 cost) are picked by stratified k-fold cross validation on the training
-split only. All preprocessing statistics are likewise fitted on training
-data and applied unchanged to validation and test splits, so the test split
-can never influence the selection stage.
+split only. Each CV fold and the final train/test run go through one
+holdout function, ``_holdout``: it fits preprocessing statistics on the
+training rows only, applies them unchanged to the held-out rows, ranks,
+and scores one classifier per top-N size. So the test split can never
+influence the selection stage.
 """
 
 from __future__ import annotations
@@ -128,10 +130,6 @@ def fit_classifier(x, y, cost):
     return _OneVsRest(models, classes)
 
 
-def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(predictions == labels))
-
-
 def binary_auc(scores: np.ndarray, labels: np.ndarray, positive) -> float:
     """Area under the ROC curve via midrank statistics (binary tasks only)."""
     pos = labels == positive
@@ -150,6 +148,8 @@ def stratified_fold_indices(labels: np.ndarray, folds: int, seed: int) -> np.nda
     training part contains every class.
     """
     labels = np.asarray(labels)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"fold seed must be a non-negative integer, got {seed!r}")
     if folds < 2:
         raise ConfigError(f"need at least 2 folds, got {folds}")
     if labels.size < folds:
@@ -177,17 +177,41 @@ def _effective_n_grid(n_grid, m) -> tuple[int, ...]:
     return tuple(sorted(set(out)))
 
 
-def _top_n_accuracy(
-    train_values, train_labels, test_values, test_labels, order, n, cost
-) -> tuple[float, float | None]:
-    cols = order[:n]
-    model = fit_classifier(train_values[:, cols], train_labels, cost)
-    test_x = test_values[:, cols]
-    acc = accuracy(model.predict(test_x), test_labels)
-    auc = None
-    if isinstance(model, LinearClassifier):
-        auc = binary_auc(model.decision_function(test_x), test_labels, model.classes[1])
-    return acc, auc
+def _holdout(train: Dataset, test: Dataset, grid, n_eval):
+    """Score each (config, cost) entry of ``grid`` on a held-out split.
+
+    Fits one scaler per preprocessing scheme on ``train`` only, ranks each
+    distinct config once on the scaled training rows (rankings do not
+    depend on the classifier cost), then fits one classifier per entry and
+    top-N size. Returns, aligned with ``grid``, the per-N ``(accuracy,
+    auc)`` pairs on ``test`` -- ``auc`` is None unless the task is binary --
+    and each config's ``(order, scores)`` ranking.
+    """
+    configs = list(dict.fromkeys(config for config, _ in grid))
+    scaled, rankings = {}, {}
+    for scheme in dict.fromkeys(config.resolved_preprocessing for config in configs):
+        scaler = fit_scaler(train.values, scheme)
+        scaled_train = train.with_values(scaler.apply(train.values))
+        scaled[scheme] = (scaled_train.values, scaler.apply(test.values))
+        group = [config for config in configs if config.resolved_preprocessing == scheme]
+        rankings.update(rank_scaled(scaled_train, group))
+
+    results = []
+    for config, cost in grid:
+        train_values, test_values = scaled[config.resolved_preprocessing]
+        order = rankings[config][0]
+        per_n = []
+        for n in n_eval:
+            cols = order[:n]
+            model = fit_classifier(train_values[:, cols], train.labels, cost)
+            test_x = test_values[:, cols]
+            acc = float(np.mean(model.predict(test_x) == test.labels))
+            auc = None
+            if isinstance(model, LinearClassifier):
+                auc = binary_auc(model.decision_function(test_x), test.labels, model.classes[1])
+            per_n.append((acc, auc))
+        results.append(per_n)
+    return results, rankings
 
 
 def cross_validate(
@@ -208,41 +232,18 @@ def cross_validate(
     assignment = stratified_fold_indices(dataset.labels, folds, seed)
     n_eval = _effective_n_grid(n_grid, dataset.m)
 
-    # Rankings do not depend on the classifier cost, so rank each distinct
-    # config once per fold; configs sharing a preprocessing scheme share
-    # one fitted scaler, and rank_scaled shares their measure blocks.
-    positions_by_config: dict[SelectorConfig, list[int]] = {}
-    for pos, (config, _) in enumerate(config_grid):
-        positions_by_config.setdefault(config, []).append(pos)
-    configs_by_scheme: dict[str, list[SelectorConfig]] = {}
-    for config in positions_by_config:
-        configs_by_scheme.setdefault(config.resolved_preprocessing, []).append(config)
-
     scores = np.zeros(len(config_grid))
     for fold in range(folds):
         train_mask = assignment != fold
-        train_ds = Dataset(
+        train = Dataset(
             dataset.values[train_mask], dataset.labels[train_mask], dataset.feature_names
         )
-        val_values_raw = dataset.values[~train_mask]
-        val_labels = dataset.labels[~train_mask]
-        for scheme, configs in configs_by_scheme.items():
-            scaler = fit_scaler(train_ds.values, scheme)
-            scaled_train = train_ds.with_values(scaler.apply(train_ds.values))
-            val_values = scaler.apply(val_values_raw)
-            orders = rank_scaled(scaled_train, configs)
-            for config in configs:
-                order = orders[config][0]
-                for pos in positions_by_config[config]:
-                    cost = config_grid[pos][1]
-                    accs = [
-                        _top_n_accuracy(
-                            scaled_train.values, train_ds.labels, val_values, val_labels,
-                            order, n, cost,
-                        )[0]
-                        for n in n_eval
-                    ]
-                    scores[pos] += float(np.mean(accs))
+        val = Dataset(
+            dataset.values[~train_mask], dataset.labels[~train_mask], dataset.feature_names
+        )
+        results, _ = _holdout(train, val, config_grid, n_eval)
+        for pos, per_n in enumerate(results):
+            scores[pos] += float(np.mean([acc for acc, _ in per_n]))
     scores /= folds
 
     def sort_key(pos):
@@ -344,30 +345,15 @@ def evaluate_selector(
         chosen_config = config
         chosen_cost = DEFAULT_COST
 
-    scaler = fit_scaler(d_train.values, chosen_config.resolved_preprocessing)
-    train_ds = d_train.with_values(scaler.apply(d_train.values))
-    order, rank_scores = rank_scaled(train_ds, [chosen_config])[chosen_config]
-    test_values = scaler.apply(d_test.values)
-
     n_eval = _effective_n_grid(n_grid, d_train.m)
     if any(int(n) > d_train.m for n in n_grid):
         warnings.warn(
             f"top-N values above the feature count were clipped to m={d_train.m}"
         )
 
-    per_n_accuracy: dict[int, float] = {}
-    per_n_auc: dict[int, float] = {}
-    binary = np.unique(d_train.labels).size == 2
-    for n in n_eval:
-        acc, auc = _top_n_accuracy(
-            train_ds.values, d_train.labels, test_values, d_test.labels,
-            order, n, chosen_cost,
-        )
-        per_n_accuracy[n] = acc
-        if binary and auc is not None:
-            per_n_auc[n] = auc
-
-    values = [per_n_accuracy[n] for n in n_eval]
+    [per_n], rankings = _holdout(d_train, d_test, [(chosen_config, chosen_cost)], n_eval)
+    accs = [acc for acc, _ in per_n]
+    aucs = [auc for _, auc in per_n]
     report = EvalReport(
         variant=chosen_config.variant,
         chosen_alpha=chosen_config.fixed_alpha,
@@ -375,11 +361,11 @@ def evaluate_selector(
         fold_seed=seed,
         n_requested=tuple(int(n) for n in n_grid),
         n_evaluated=n_eval,
-        per_n_accuracy=per_n_accuracy,
-        avg=float(np.mean(values)),
-        max=float(np.max(values)),
-        per_n_auc=per_n_auc if binary else None,
+        per_n_accuracy=dict(zip(n_eval, accs)),
+        avg=float(np.mean(accs)),
+        max=float(np.max(accs)),
+        per_n_auc=None if None in aucs else dict(zip(n_eval, aucs)),
     )
     if return_ranking:
-        return report, (order, rank_scores)
+        return report, rankings[chosen_config]
     return report

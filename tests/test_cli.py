@@ -144,6 +144,12 @@ class TestRankCommand:
         assert code == 3
         assert "binning" in capsys.readouterr().err
 
+    def test_unknown_preprocess_exit_three(self, labeled_csv, capsys):
+        code = main(["rank", labeled_csv, "--preprocess", "whiten", "--label-column", "y"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "preprocessing" in err and "usage" not in err
+
 
 class TestEvalCommand:
     def test_writes_reports_and_prints_summary(self, tmp_path, labeled_csv, test_csv, capsys):
@@ -244,4 +250,13 @@ class TestCompareCommand:
         code = main(["compare", train, test, "--variants", "mrmr,ifs", "--alpha", "0.5",
                      "--label-column", "y", "--n-grid", "1", "--output", str(tmp_path / "x")])
         assert code == 3
+        assert not list(tmp_path.glob("x.*"))
+
+    def test_repeated_variant_exit_three(self, tmp_path, capsys):
+        # The inputs do not exist: the check must come before any load.
+        missing = str(tmp_path / "missing.csv")
+        code = main(["compare", missing, missing, "--variants", "ifs,mrmr,ifs",
+                     "--output", str(tmp_path / "x")])
+        assert code == 3
+        assert "ifs" in capsys.readouterr().err
         assert not list(tmp_path.glob("x.*"))

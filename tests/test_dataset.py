@@ -123,6 +123,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=re.escape(p)):
             load_csv(p)
 
+    def test_validation_error_names_path_once(self, tmp_path):
+        p = write(tmp_path / "one.csv", "a,y\n1,0\n2,0\n")
+        with pytest.raises(DataError, match="at least 2 classes") as info:
+            load_csv(p, label_column="y")
+        assert str(info.value).count(p) == 1
+
 
 class TestLoadLibsvm:
     def test_basic(self, tmp_path):
@@ -177,6 +183,12 @@ class TestLoadLibsvm:
         p.write_bytes(b"1 1:0.5\n0 1:\xe9\n")
         with pytest.raises(DataError, match=re.escape(str(p))):
             load_libsvm(str(p))
+
+    def test_validation_error_names_path_once(self, tmp_path):
+        p = write(tmp_path / "one.svm", "1 1:0.5\n1 1:2.0\n")
+        with pytest.raises(DataError, match="at least 2 classes") as info:
+            load_libsvm(p)
+        assert str(info.value).count(p) == 1
 
 
 class TestPreprocess:

@@ -117,6 +117,16 @@ class TestStratifiedFolds:
         with pytest.raises(ConfigError, match="folds"):
             stratified_fold_indices(np.array([0, 1]), 3, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, np.int64(-2)])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            stratified_fold_indices(np.tile([0, 1], 10), 4, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        labels = np.tile([0, 1], 10)
+        a = stratified_fold_indices(labels, 4, seed=np.int64(3))
+        np.testing.assert_array_equal(a, stratified_fold_indices(labels, 4, seed=3))
+
 
 def labeled_dataset(rng, n, m, perfect_first=False):
     values = rng.normal(size=(n, m))
@@ -194,6 +204,15 @@ class TestEvaluateSelector:
         test = labeled_dataset(rng, 30, 5)
         with pytest.raises(ConfigError, match="label"):
             evaluate_selector(train, test, SelectorConfig(variant="ifs", alpha=0.5))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_fold_seed_is_config_error(self, seed):
+        rng = np.random.default_rng(82)
+        train = labeled_dataset(rng, 30, 4)
+        test = labeled_dataset(rng, 20, 4)
+        config = SelectorConfig(variant="ifs", alpha="cv")
+        with pytest.raises(ConfigError, match="seed"):
+            evaluate_selector(train, test, config, n_grid=(2,), seed=seed, cost_grid=(1.0,))
 
     def test_multiclass_accuracy_is_exact_match_fraction(self):
         rng = np.random.default_rng(74)
@@ -296,3 +315,23 @@ class TestCrossValidate:
         d = labeled_dataset(rng, 30, 4)
         with pytest.raises(ConfigError, match="empty"):
             cross_validate(d, [])
+
+    def test_mixed_scheme_grid_matches_single_entries(self):
+        # Entries that share a preprocessing scheme share one scaler and one
+        # ranking pass per fold; each entry's score must still equal the
+        # score it gets when cross-validated on its own.
+        rng = np.random.default_rng(83)
+        d = labeled_dataset(rng, 45, 6, perfect_first=True)
+        norm = SelectorConfig(variant="mifs", alpha=0.3, preprocessing="normalize")
+        std = SelectorConfig(variant="sifs", alpha=0.7, preprocessing="standardize")
+        grid = [
+            (norm, 1.0),
+            (std, 0.1),
+            (norm.with_alpha(0.8), 10.0),
+            (std, 0.1),
+            (SelectorConfig(variant="ifs", alpha=0.5, preprocessing="standardize"), 1.0),
+        ]
+        _, scores = cross_validate(d, grid, folds=3, seed=2, n_grid=(2, 4))
+        for pos, entry in enumerate(grid):
+            _, single = cross_validate(d, [entry], folds=3, seed=2, n_grid=(2, 4))
+            assert scores[pos].tobytes() == single[0].tobytes()
