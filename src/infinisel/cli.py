@@ -97,11 +97,15 @@ def _ranking_lines(dataset: Dataset, order, scores) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
+    # UTF-8 whatever the locale, as the loaders read.
+    if path != "-":
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:  # an in-memory text stream
+        sys.stdout.write(text)
 
 
 def cmd_rank(args) -> int:

@@ -156,17 +156,21 @@ def _is_number(token: str) -> bool:
 
 
 def _parse_cell(token: str, row: int, col: int, colname: str | None) -> float:
+    # float() strips whitespace as str.strip() does; the location is only
+    # formatted on the error path, which keeps loading cheap.
+    try:
+        value = float(token)
+    except ValueError:
+        value = None
+    if value is not None and math.isfinite(value):
+        return value
     where = f"row {row}, column {col}" + (f" ({colname})" if colname else "")
     token = token.strip()
     if not token:
         raise DataError(f"empty cell at {where}")
-    try:
-        value = float(token)
-    except ValueError:
-        raise DataError(f"non-numeric value {token!r} at {where}") from None
-    if not math.isfinite(value):
-        raise DataError(f"non-finite value {token!r} at {where}")
-    return value
+    if value is None:
+        raise DataError(f"non-numeric value {token!r} at {where}")
+    raise DataError(f"non-finite value {token!r} at {where}")
 
 
 def _parse_label(token: str, row: int, col: int) -> int:

@@ -174,6 +174,8 @@ def _effective_n_grid(n_grid, m) -> tuple[int, ...]:
         if n < 1:
             raise ConfigError(f"top-N values must be positive, got {n}")
         out.append(min(n, m))
+    if not out:
+        raise ConfigError("the top-N grid is empty")
     return tuple(sorted(set(out)))
 
 

@@ -5,18 +5,21 @@ deviation, Spearman rank correlation with midrank tie handling, plug-in
 mutual information over discretized histograms, and the per-feature mean
 redundancy aggregate.
 
-Every MI-based measure (the pairwise block, the scalar measures, label
-relevance and mRMR) shares one raw-MI kernel and per-column entropies.
-Mutual information uses natural logarithms and is normalized by the smaller
-marginal entropy wherever a [0, 1] scale is required. Histogram sums are
-accumulated with ``math.fsum`` so that every measure is exactly symmetric
-in its two arguments.
+Each measure keeps one state per column, built once per call, and one
+pair function over two states. Spearman: centred midranks and their sum of
+squares, paired by ``_rank_correlation``. Mutual information: bin codes,
+bin count, marginal and entropy (the labels get the same state), paired by
+raw ``_mi`` (nats) and ``_nmi`` (over the smaller marginal entropy, in
+[0, 1]). Blocks, scalar measures, label relevance, ``rdn`` and mRMR all
+call these, so a block cell is bitwise equal to its scalar measure.
+Histogram sums use ``math.fsum``: every measure is exactly symmetric.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import rankdata
@@ -42,6 +45,8 @@ class BinningPolicy:
     def __post_init__(self):
         if self.kind not in BINNING_KINDS:
             raise ConfigError(f"unknown binning kind {self.kind!r}; expected one of {BINNING_KINDS}")
+        if not isinstance(self.bin_count, (int, np.integer)):
+            raise ConfigError(f"bin_count must be an integer, got {self.bin_count!r}")
         if self.bin_count < 2:
             raise ConfigError(f"bin_count must be >= 2, got {self.bin_count}")
 
@@ -67,18 +72,33 @@ def feature_std(dataset: Dataset, i: int) -> float:
     return float(np.std(dataset.values[:, i]))
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    return rankdata(x, method="average")
+class _RankState(NamedTuple):  # one feature, for Spearman
+    centred: np.ndarray  # midranks minus their mean
+    sum_sq: float
 
 
-def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
+def _rank_states(values: np.ndarray) -> list[_RankState]:
+    ranks = [rankdata(values[:, i], method="average") for i in range(values.shape[1])]
+    centred = [r - r.mean() for r in ranks]
+    return [_RankState(c, float(c @ c)) for c in centred]
+
+
+def _rank_correlation(a: _RankState, b: _RankState) -> float:
     # Pearson correlation of midranks; 0 when either vector is constant.
-    cx = rx - rx.mean()
-    cy = ry - ry.mean()
-    denom = math.sqrt(float(cx @ cx) * float(cy @ cy))
+    denom = math.sqrt(a.sum_sq * b.sum_sq)
     if denom == 0.0:
         return 0.0
-    return float(np.clip((cx @ cy) / denom, -1.0, 1.0))
+    return float(np.clip((a.centred @ b.centred) / denom, -1.0, 1.0))
+
+
+def _pair_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+    if x.size < 2:
+        raise ValueError("need at least 2 samples")
+    return np.column_stack([x, y])
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
@@ -87,8 +107,7 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     Returns 0 when either vector is constant (no monotone association is
     expressible).
     """
-    x, y = _check_pair(x, y)
-    return _rank_correlation(_midranks(x), _midranks(y))
+    return _rank_correlation(*_rank_states(_pair_columns(x, y)))
 
 
 def discretize(x: np.ndarray, policy: BinningPolicy) -> tuple[np.ndarray, int]:
@@ -110,66 +129,69 @@ def discretize(x: np.ndarray, policy: BinningPolicy) -> tuple[np.ndarray, int]:
         lo = x.min()
         codes = np.floor((x - lo) / (x.max() - lo) * bins).astype(np.int64)
     else:
-        codes = np.floor((_midranks(x) - 0.5) / n * bins).astype(np.int64)
+        codes = np.floor((rankdata(x, method="average") - 0.5) / n * bins).astype(np.int64)
     return np.clip(codes, 0, bins - 1), bins
 
 
-def label_codes(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """Codes for an already-discrete label vector (never re-binned)."""
+class _MiState(NamedTuple):  # one feature or the labels, for MI
+    codes: np.ndarray
+    bins: int
+    marginal: np.ndarray  # integer bin counts / n: exact joint-table sums
+    entropy: float
+
+
+def _mi_state(codes: np.ndarray, bins: int) -> _MiState:
+    marginal = np.bincount(codes, minlength=bins) / codes.size
+    return _MiState(codes, bins, marginal, -math.fsum(p * math.log(p) for p in marginal if p > 0.0))
+
+
+def _mi_states(values: np.ndarray, policy: BinningPolicy) -> list[_MiState]:
+    return [_mi_state(*discretize(values[:, i], policy)) for i in range(values.shape[1])]
+
+
+def _label_state(labels: np.ndarray) -> _MiState:
+    # Labels are already discrete: each class is one bin, never re-binned.
     classes, codes = np.unique(labels, return_inverse=True)
-    return codes.astype(np.int64), int(classes.size)
+    return _mi_state(codes.astype(np.int64), int(classes.size))
 
 
-def _entropy(codes: np.ndarray, bins: int) -> float:
-    p = np.bincount(codes, minlength=bins) / codes.size
-    return -math.fsum(pi * math.log(pi) for pi in p if pi > 0.0)
-
-
-def _mi(cx: np.ndarray, bx: int, cy: np.ndarray, by: int) -> float:
+def _mi(a: _MiState, b: _MiState) -> float:
     """Raw plug-in MI (nats), summed over the occupied cells of the joint table."""
-    n = cx.size
-    counts = np.bincount(cx * by + cy, minlength=bx * by).reshape(bx, by)
-    # Marginals from integer counts: exact sums, so histograms that are
-    # permutations of each other give bitwise-identical MI values.
-    px = counts.sum(axis=1) / n
-    py = counts.sum(axis=0) / n
-    a, b = np.nonzero(counts)
-    joint = counts[a, b] / n
-    ratio = joint / (px[a] * py[b])
+    (ca, ba, pa, _), (cb, bb, pb, _) = a, b
+    counts = np.bincount(ca * bb + cb, minlength=ba * bb).reshape(ba, bb)
+    i, j = np.nonzero(counts)
+    joint = counts[i, j] / ca.size
+    ratio = joint / (pa[i] * pb[j])
     mi = math.fsum(p * math.log(r) for p, r in zip(joint.tolist(), ratio.tolist()))
     return max(mi, 0.0)
 
 
-def _nmi(mi: float, h_i: float, h_j: float) -> float:
-    h = min(h_i, h_j)
-    if h == 0.0:
-        return 0.0
-    return min(mi / h, 1.0)
+def _nmi(a: _MiState, b: _MiState) -> float:
+    h = min(a.entropy, b.entropy)
+    return 0.0 if h == 0.0 else min(_mi(a, b) / h, 1.0)
 
 
-def _symmetric_block(m: int, pair) -> np.ndarray:
+def _symmetric_block(states: list, pair) -> np.ndarray:
     # One evaluation per pair i <= j fills both halves: exactly symmetric.
+    m = len(states)
     block = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            block[i, j] = block[j, i] = pair(i, j)
+            block[i, j] = block[j, i] = pair(states[i], states[j])
     return block
 
 
-def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    if x.size < 2:
-        raise ValueError("need at least 2 samples")
-    return x, y
+def _mean_redundancy(others) -> float:
+    # One left-to-right sum for the rdn block and scalar rdn(); 0 if alone.
+    acc = 0.0
+    for value in others:
+        acc += value
+    return acc / len(others) if len(others) else 0.0
 
 
 def mutual_information(x: np.ndarray, y: np.ndarray, policy: BinningPolicy) -> float:
     """Plug-in mutual information (nats) over the discretized joint histogram."""
-    x, y = _check_pair(x, y)
-    return _mi(*discretize(x, policy), *discretize(y, policy))
+    return _mi(*_mi_states(_pair_columns(x, y), policy))
 
 
 def normalized_mi(x: np.ndarray, y: np.ndarray, policy: BinningPolicy) -> float:
@@ -178,10 +200,7 @@ def normalized_mi(x: np.ndarray, y: np.ndarray, policy: BinningPolicy) -> float:
     Lies in [0, 1]; defined as 0 when either discretized marginal has zero
     entropy.
     """
-    x, y = _check_pair(x, y)
-    cx, bx = discretize(x, policy)
-    cy, by = discretize(y, policy)
-    return _nmi(_mi(cx, bx, cy, by), _entropy(cx, bx), _entropy(cy, by))
+    return _nmi(*_mi_states(_pair_columns(x, y), policy))
 
 
 def rdn(dataset: Dataset, i: int, policy: BinningPolicy) -> float:
@@ -189,20 +208,15 @@ def rdn(dataset: Dataset, i: int, policy: BinningPolicy) -> float:
     m = dataset.m
     if m < 2:
         raise ValueError("redundancy is undefined for a single feature")
-    acc = 0.0
-    for j in range(m):
-        if j != i:
-            acc += normalized_mi(dataset.values[:, j], dataset.values[:, i], policy)
-    return acc / (m - 1)
+    states = _mi_states(dataset.values, policy)
+    return _mean_redundancy([_nmi(states[j], states[i]) for j in range(m) if j != i])
 
 
 def relevance_to_labels(dataset: Dataset, i: int, policy: BinningPolicy) -> float:
     """Normalized mutual information between feature ``i`` and the labels."""
     if dataset.labels is None:
         raise ConfigError("label relevance requires a labeled dataset")
-    cx, bx = discretize(dataset.values[:, i], policy)
-    cy, by = label_codes(dataset.labels)
-    return _nmi(_mi(cx, bx, cy, by), _entropy(cx, bx), _entropy(cy, by))
+    return _nmi(_mi_state(*discretize(dataset.values[:, i], policy)), _label_state(dataset.labels))
 
 
 def build_measure_cache(
@@ -224,33 +238,16 @@ def build_measure_cache(
     # Column-at-a-time keeps each entry bitwise equal to feature_std().
     std = np.array([np.std(values[:, i]) for i in range(m)])
 
-    spearman_block = None
+    spearman_block = mi_block = rdn_block = relevance_block = None
     if need_spearman:
-        ranks = [_midranks(values[:, i]) for i in range(m)]
-        spearman_block = _symmetric_block(m, lambda i, j: _rank_correlation(ranks[i], ranks[j]))
-
-    mi_block = None
-    rdn_block = None
-    relevance_block = None
+        spearman_block = _symmetric_block(_rank_states(values), _rank_correlation)
     if need_mi_matrix or need_relevance:
-        codes = [discretize(values[:, i], policy) for i in range(m)]
-        entropy = [_entropy(c, b) for c, b in codes]
+        states = _mi_states(values, policy)
     if need_mi_matrix:
-        mi_block = _symmetric_block(
-            m, lambda i, j: _nmi(_mi(*codes[i], *codes[j]), entropy[i], entropy[j])
-        )
-        rdn_block = np.empty(m)
-        for i in range(m):
-            acc = 0.0
-            for j in range(m):
-                if j != i:
-                    acc += mi_block[i, j]
-            rdn_block[i] = acc / (m - 1) if m > 1 else 0.0
+        mi_block = _symmetric_block(states, _nmi)
+        rdn_block = np.array([_mean_redundancy(np.delete(r, i)) for i, r in enumerate(mi_block)])
     if need_relevance:
-        cy, by = label_codes(dataset.labels)
-        hy = _entropy(cy, by)
-        relevance_block = np.array(
-            [_nmi(_mi(ci, bi, cy, by), h, hy) for (ci, bi), h in zip(codes, entropy)]
-        )
+        label = _label_state(dataset.labels)
+        relevance_block = np.array([_nmi(state, label) for state in states])
 
     return MeasureCache(std, spearman_block, mi_block, rdn_block, relevance_block)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError
-from .measures import BinningPolicy, _mi, discretize, label_codes
+from .measures import BinningPolicy, _label_state, _mi, _mi_states
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ def mrmr_select(dataset: Dataset, k: int, policy: BinningPolicy) -> MrmrSelectio
     if not 1 <= k <= m:
         raise ConfigError(f"k must be in [1, {m}], got {k}")
 
-    codes = [discretize(dataset.values[:, i], policy) for i in range(m)]
-    cy, by = label_codes(dataset.labels)
-    relevance = np.array([_mi(ci, bi, cy, by) for ci, bi in codes])
+    states = _mi_states(dataset.values, policy)
+    label = _label_state(dataset.labels)
+    relevance = np.array([_mi(state, label) for state in states])
 
     order: list[int] = []
     trace: list[float] = []
@@ -56,6 +56,6 @@ def mrmr_select(dataset: Dataset, k: int, policy: BinningPolicy) -> MrmrSelectio
         remaining.pop(pos)
         if remaining and step + 1 < k:
             for f in remaining:
-                redundancy_sum[f] += _mi(*codes[f], *codes[best])
+                redundancy_sum[f] += _mi(states[f], states[best])
 
     return MrmrSelection(tuple(order), tuple(trace))

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import infinisel
 from infinisel.cli import main
 
 
@@ -109,6 +115,23 @@ class TestRankCommand:
         assert main(["rank", str(bad)]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_utf8_output_under_c_locale(self, tmp_path, to_stdout):
+        # A non-ASCII header must come out as UTF-8 even when the locale
+        # encoding is ASCII, both into a file and on stdout.
+        src = tmp_path / "u.csv"
+        src.write_text("café,b,y\n1,5,0\n2,3,1\n3,8,0\n4,1,1\n5,7,0\n6,2,1\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        package_root = str(Path(infinisel.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        argv = ["rank", str(src), "--label-column", "y", "--output", "-" if to_stdout else str(out)]
+        runner = "import sys; from infinisel.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", runner, *argv], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        written = proc.stdout if to_stdout else out.read_bytes()
+        assert "café" in written.decode("utf-8")
 
     def test_out_of_range_label_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

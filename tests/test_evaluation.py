@@ -214,6 +214,15 @@ class TestEvaluateSelector:
         with pytest.raises(ConfigError, match="seed"):
             evaluate_selector(train, test, config, n_grid=(2,), seed=seed, cost_grid=(1.0,))
 
+    @pytest.mark.parametrize("alpha", [0.5, "cv"])
+    def test_empty_n_grid_is_config_error(self, alpha):
+        rng = np.random.default_rng(85)
+        train = labeled_dataset(rng, 30, 4)
+        test = labeled_dataset(rng, 20, 4)
+        config = SelectorConfig(variant="ifs", alpha=alpha)
+        with pytest.raises(ConfigError, match="top-N grid is empty"):
+            evaluate_selector(train, test, config, n_grid=())
+
     def test_multiclass_accuracy_is_exact_match_fraction(self):
         rng = np.random.default_rng(74)
         n = 60
@@ -315,6 +324,12 @@ class TestCrossValidate:
         d = labeled_dataset(rng, 30, 4)
         with pytest.raises(ConfigError, match="empty"):
             cross_validate(d, [])
+
+    def test_empty_n_grid_rejected(self):
+        rng = np.random.default_rng(84)
+        d = labeled_dataset(rng, 30, 4)
+        with pytest.raises(ConfigError, match="top-N grid is empty"):
+            cross_validate(d, [(SelectorConfig(variant="ifs", alpha=0.5), 1.0)], n_grid=())
 
     def test_mixed_scheme_grid_matches_single_entries(self):
         # Entries that share a preprocessing scheme share one scaler and one

@@ -136,6 +136,16 @@ class TestMutualInformation:
         with pytest.raises(ConfigError, match="bin_count"):
             BinningPolicy(bin_count=1)
 
+    @pytest.mark.parametrize("bins", [2.5, 10.0, "10", None])
+    def test_bin_count_must_be_integer(self, bins):
+        with pytest.raises(ConfigError, match="bin_count must be an integer"):
+            BinningPolicy(bin_count=bins)
+
+    def test_numpy_integer_bin_count_accepted(self):
+        x = np.arange(12.0)
+        policy = BinningPolicy(bin_count=np.int64(3))
+        assert mutual_information(x, x, policy) == mutual_information(x, x, BinningPolicy(bin_count=3))
+
     def test_unknown_binning_kind(self):
         with pytest.raises(ConfigError, match="binning kind"):
             BinningPolicy(kind="kmeans")
@@ -326,3 +336,18 @@ class TestKernelExactness:
                 assert cache.rdn[i] == rdn(d, i, POLICY)
                 for j in range(d.m):
                     assert cache.mi[i, j] == normalized_mi(values[:, i], values[:, j], POLICY)
+
+    def test_spearman_block_matches_scalar_on_ties_and_constants(self):
+        # Midranks of tied and constant columns: the block must equal the
+        # scalar measure in both triangles and on the diagonal, where a
+        # constant column correlates 0 with itself.
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(6, 61))
+            values = np.column_stack([self.categorical(rng, n) for _ in range(6)])
+            values[:, 5] = values[0, 5]
+            cache = build_measure_cache(Dataset(values), POLICY, need_spearman=True)
+            np.testing.assert_array_equal(cache.spearman, cache.spearman.T)
+            for i in range(6):
+                for j in range(6):
+                    assert cache.spearman[i, j] == spearman(values[:, i], values[:, j])

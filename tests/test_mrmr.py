@@ -3,7 +3,7 @@ import pytest
 
 from oracles import plugin_mi
 
-from infinisel import BinningPolicy, ConfigError, Dataset, mrmr_select
+from infinisel import BinningPolicy, ConfigError, Dataset, mrmr_select, mutual_information
 
 POLICY = BinningPolicy()
 
@@ -98,6 +98,31 @@ class TestMrmrOracle:
             expected_order, expected_trace = oracle_mrmr(values.astype(int), labels, k)
             assert list(sel.order) == expected_order
             np.testing.assert_allclose(sel.objective_trace, expected_trace, atol=1e-12)
+
+
+class TestMrmrScalarExactness:
+    def test_trace_equals_stepwise_scalar_recomputation_bitwise(self):
+        # With k = m every feature is picked. Each trace entry must equal
+        # relevance minus the mean of the scalar MI to the earlier picks,
+        # summed left to right in pick order, to the last bit.
+        rng = np.random.default_rng(55)
+        for _ in range(10):
+            n = int(rng.integers(20, 60))
+            m = int(rng.integers(3, 13))
+            values = rng.normal(size=(n, m))
+            values[:, ::3] = np.round(values[:, ::3])
+            labels = np.arange(n) % 2
+            sel = mrmr_select(Dataset(values, labels=labels), m, POLICY)
+            y = labels.astype(float)
+            for step, f in enumerate(sel.order):
+                relevance = mutual_information(values[:, f], y, POLICY)
+                if step == 0:
+                    assert sel.objective_trace[0] == relevance
+                    continue
+                acc = 0.0
+                for s in sel.order[:step]:
+                    acc += mutual_information(values[:, f], values[:, s], POLICY)
+                assert sel.objective_trace[step] == relevance - acc / step
 
 
 class TestMrmrContract:
