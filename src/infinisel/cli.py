@@ -167,8 +167,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
+_VARIANT_HELP = "selector: ifs, mifs, sifs, or mrmr"
+
+
 def _add_common_flags(sub, default_alpha: str) -> None:
-    sub.add_argument("--variant", default="mifs", help="selector: ifs, mifs, sifs, or mrmr")
     sub.add_argument("--alpha", default=default_alpha,
                      help="relevance/redundancy trade-off in [0, 1], or 'cv' (eval/compare only)")
     sub.add_argument("--c", default="0.9", help="regularization fraction in (0, 1)")
@@ -191,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rank = commands.add_parser("rank", help="rank all features of a dataset")
     rank.add_argument("input", help="dataset file")
+    rank.add_argument("--variant", default="mifs", help=_VARIANT_HELP)
     _add_common_flags(rank, default_alpha="0.5")
     rank.add_argument("--output", default="-", help="ranking file path ('-' for stdout)")
     rank.set_defaults(func=cmd_rank)
@@ -198,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = commands.add_parser("eval", help="evaluate one selector on a train/test split")
     ev.add_argument("train", help="training split")
     ev.add_argument("test", help="test split")
+    ev.add_argument("--variant", default="mifs", help=_VARIANT_HELP)
     _add_common_flags(ev, default_alpha="cv")
     ev.add_argument("--n-grid", default=",".join(str(n) for n in DEFAULT_N_GRID),
                     help="comma-separated top-N sizes")
@@ -205,7 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="base path; writes <base>.report.txt/.json and <base>.ranking.csv")
     ev.set_defaults(func=cmd_eval)
 
-    comp = commands.add_parser("compare", help="evaluate several selectors side by side")
+    # Flags in full: an abbreviated "--variant" would be read as "--variants".
+    comp = commands.add_parser("compare", help="evaluate several selectors side by side",
+                               allow_abbrev=False)
     comp.add_argument("train", help="training split")
     comp.add_argument("test", help="test split")
     _add_common_flags(comp, default_alpha="cv")

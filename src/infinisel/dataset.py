@@ -104,8 +104,6 @@ class FeatureScaler:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
-        if self.scheme == "none":
-            return values.copy()
         out = values - self.shift
         nonzero = self.scale > 0
         out[:, nonzero] /= self.scale[nonzero]

@@ -5,14 +5,15 @@ deviation, Spearman rank correlation with midrank tie handling, plug-in
 mutual information over discretized histograms, and the per-feature mean
 redundancy aggregate.
 
-Each measure keeps one state per column, built once per call, and one
-pair function over two states. Spearman: centred midranks and their sum of
-squares, paired by ``_rank_correlation``. Mutual information: bin codes,
-bin count, marginal and entropy (the labels get the same state), paired by
-raw ``_mi`` (nats) and ``_nmi`` (over the smaller marginal entropy, in
-[0, 1]). Blocks, scalar measures, label relevance, ``rdn`` and mRMR all
-call these, so a block cell is bitwise equal to its scalar measure.
-Histogram sums use ``math.fsum``: every measure is exactly symmetric.
+Each call ranks every column at most once, into one integer matrix of
+twice the centred midranks. Spearman is its Gram product, summed exactly in
+int64 and rounded once to float64; equal-frequency bins read the same
+midranks. Mutual information keeps one state per column: bin codes, bin
+count, marginal and entropy (the labels get the same state), paired by raw
+``_mi`` (nats) and ``_nmi`` (over the smaller marginal entropy, in [0, 1]).
+Blocks, scalar measures, label relevance, ``rdn`` and mRMR (which reads the
+raw MI block) all call these, so a block cell is bitwise equal to its
+scalar measure. Histogram sums use ``math.fsum``: measures are symmetric.
 """
 
 from __future__ import annotations
@@ -72,23 +73,25 @@ def feature_std(dataset: Dataset, i: int) -> float:
     return float(np.std(dataset.values[:, i]))
 
 
-class _RankState(NamedTuple):  # one feature, for Spearman
-    centred: np.ndarray  # midranks minus their mean
-    sum_sq: float
+def _midranks(values: np.ndarray) -> np.ndarray:
+    # 2·midrank − (n + 1) per column: twice the centred midranks, integers.
+    n, m = values.shape
+    ranks = np.empty((n, m), dtype=np.int64, order="F")
+    for i in range(m):
+        ranks[:, i] = 2 * rankdata(values[:, i], method="average") - (n + 1)
+    return ranks
 
 
-def _rank_states(values: np.ndarray) -> list[_RankState]:
-    ranks = [rankdata(values[:, i], method="average") for i in range(values.shape[1])]
-    centred = [r - r.mean() for r in ranks]
-    return [_RankState(c, float(c @ c)) for c in centred]
-
-
-def _rank_correlation(a: _RankState, b: _RankState) -> float:
-    # Pearson correlation of midranks; 0 when either vector is constant.
-    denom = math.sqrt(a.sum_sq * b.sum_sq)
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip((a.centred @ b.centred) / denom, -1.0, 1.0))
+def _spearman_block(ranks: np.ndarray) -> np.ndarray:
+    # Pearson correlation of midranks; 0 where either column is constant.
+    # Each |product| is at most (n - 1)², so a chunk of that many rows sums
+    # below 2⁶³; several chunks add up in Python integers: exact at any n.
+    n = ranks.shape[0]
+    rows = max((2**63 - 1) // max(n - 1, 1) ** 2, 1)
+    grams = [c.T @ c for c in (ranks[s:s + rows] for s in range(0, n, rows))]
+    dots = (grams[0] if len(grams) == 1 else sum(g.astype(object) for g in grams)).astype(np.float64)
+    denom = np.sqrt(np.outer(np.diag(dots), np.diag(dots)))
+    return np.clip(np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0), -1.0, 1.0)
 
 
 def _pair_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -107,29 +110,27 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     Returns 0 when either vector is constant (no monotone association is
     expressible).
     """
-    return _rank_correlation(*_rank_states(_pair_columns(x, y)))
+    return float(_spearman_block(_midranks(_pair_columns(x, y)))[0, 1])
 
 
-def discretize(x: np.ndarray, policy: BinningPolicy) -> tuple[np.ndarray, int]:
+def discretize(x: np.ndarray, ranks: np.ndarray | None, policy: BinningPolicy) -> tuple[np.ndarray, int]:
     """Map a real vector to integer bin codes; returns (codes, bin count).
 
     A vector with at most ``bin_count`` distinct values is treated as
     categorical and its values become the bins directly. Otherwise
-    equal-frequency binning is computed on midranks, so tied values always
-    share a bin; either way any strictly increasing transform of ``x``
-    yields the same codes.
+    equal-frequency binning reads ``ranks``, the column of ``_midranks``,
+    so tied values always share a bin; either way any strictly increasing
+    transform of ``x`` yields the same codes.
     """
-    x = np.asarray(x, dtype=np.float64)
     n = x.size
     distinct, inverse = np.unique(x, return_inverse=True)
     if distinct.size <= policy.bin_count:
         return inverse.astype(np.int64), max(int(distinct.size), 1)
     bins = policy.bin_count
     if policy.kind == "equal_width":
-        lo = x.min()
-        codes = np.floor((x - lo) / (x.max() - lo) * bins).astype(np.int64)
-    else:
-        codes = np.floor((rankdata(x, method="average") - 0.5) / n * bins).astype(np.int64)
+        codes = np.floor((x - x.min()) / np.ptp(x) * bins).astype(np.int64)
+    else:  # (ranks + n) / 2 is the midrank minus ½, exactly
+        codes = np.floor((ranks + n) / 2 / n * bins).astype(np.int64)
     return np.clip(codes, 0, bins - 1), bins
 
 
@@ -145,8 +146,11 @@ def _mi_state(codes: np.ndarray, bins: int) -> _MiState:
     return _MiState(codes, bins, marginal, -math.fsum(p * math.log(p) for p in marginal if p > 0.0))
 
 
-def _mi_states(values: np.ndarray, policy: BinningPolicy) -> list[_MiState]:
-    return [_mi_state(*discretize(values[:, i], policy)) for i in range(values.shape[1])]
+def _mi_states(values: np.ndarray, policy: BinningPolicy, ranks: np.ndarray | None = None) -> list[_MiState]:
+    if ranks is None and policy.kind == "equal_frequency":
+        ranks = _midranks(values)  # unless the caller has ranked already
+    columns = [None] * values.shape[1] if ranks is None else ranks.T
+    return [_mi_state(*discretize(x, r, policy)) for x, r in zip(values.T, columns)]
 
 
 def _label_state(labels: np.ndarray) -> _MiState:
@@ -216,7 +220,7 @@ def relevance_to_labels(dataset: Dataset, i: int, policy: BinningPolicy) -> floa
     """Normalized mutual information between feature ``i`` and the labels."""
     if dataset.labels is None:
         raise ConfigError("label relevance requires a labeled dataset")
-    return _nmi(_mi_state(*discretize(dataset.values[:, i], policy)), _label_state(dataset.labels))
+    return _nmi(_mi_states(dataset.values[:, [i]], policy)[0], _label_state(dataset.labels))
 
 
 def build_measure_cache(
@@ -234,15 +238,15 @@ def build_measure_cache(
     if need_relevance and dataset.labels is None:
         raise ConfigError("label relevance requires a labeled dataset")
     values = dataset.values
-    m = dataset.m
     # Column-at-a-time keeps each entry bitwise equal to feature_std().
-    std = np.array([np.std(values[:, i]) for i in range(m)])
+    std = np.array([np.std(column) for column in values.T])
 
-    spearman_block = mi_block = rdn_block = relevance_block = None
+    spearman_block = mi_block = rdn_block = relevance_block = ranks = None
     if need_spearman:
-        spearman_block = _symmetric_block(_rank_states(values), _rank_correlation)
+        ranks = _midranks(values)
+        spearman_block = _spearman_block(ranks)
     if need_mi_matrix or need_relevance:
-        states = _mi_states(values, policy)
+        states = _mi_states(values, policy, ranks)
     if need_mi_matrix:
         mi_block = _symmetric_block(states, _nmi)
         rdn_block = np.array([_mean_redundancy(np.delete(r, i)) for i, r in enumerate(mi_block)])

@@ -3,8 +3,8 @@
 The difference criterion is used: each step adds the feature maximizing
 ``MI(f; Y) - mean_{s in S} MI(f; s)`` over the already-selected set ``S``.
 Mutual information here is the raw (unnormalized) plug-in estimate, with
-features discretized by the binning policy and labels used as-is. Ties are
-broken by ascending feature index.
+features discretized by the binning policy and labels used as-is; one block
+holds it for every feature pair. Ties are broken by ascending feature index.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError
-from .measures import BinningPolicy, _label_state, _mi, _mi_states
+from .measures import BinningPolicy, _label_state, _mi, _mi_states, _symmetric_block
 
 
 @dataclass(frozen=True)
@@ -38,24 +38,19 @@ def mrmr_select(dataset: Dataset, k: int, policy: BinningPolicy) -> MrmrSelectio
     states = _mi_states(dataset.values, policy)
     label = _label_state(dataset.labels)
     relevance = np.array([_mi(state, label) for state in states])
+    mi = _symmetric_block(states, _mi)  # raw MI of every pair; _mi is exactly symmetric
 
     order: list[int] = []
     trace: list[float] = []
-    remaining = list(range(m))
     redundancy_sum = np.zeros(m)
 
     for step in range(k):
-        if step == 0:
-            scores = relevance[remaining]
-        else:
-            scores = relevance[remaining] - redundancy_sum[remaining] / step
-        pos = int(np.argmax(scores))  # first max wins: ascending-index ties
-        best = remaining[pos]
+        # At step 0 the sum is 0.0, and x - 0.0 / 1 is x bitwise.
+        scores = relevance - redundancy_sum / max(step, 1)
+        scores[order] = -np.inf  # already selected
+        best = int(np.argmax(scores))  # first max wins: ascending-index ties
         order.append(best)
-        trace.append(float(scores[pos]))
-        remaining.pop(pos)
-        if remaining and step + 1 < k:
-            for f in remaining:
-                redundancy_sum[f] += _mi(states[f], states[best])
+        trace.append(float(scores[best]))
+        redundancy_sum += mi[best]  # in pick order: left-to-right sums
 
     return MrmrSelection(tuple(order), tuple(trace))

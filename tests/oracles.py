@@ -1,8 +1,9 @@
 """Brute-force reference implementations shared by the test modules.
 
 These deliberately avoid the library's histogram and linear-algebra code
-paths: contingency tables are built by boolean masks, and walk energies go
-through an explicit eigendecomposition plus matrix inverse.
+paths: contingency tables are built by boolean masks, Spearman midranks by
+explicit tie averaging with dot products in Python integers, and walk
+energies go through an explicit eigendecomposition plus matrix inverse.
 """
 
 import math
@@ -31,6 +32,31 @@ def entropy(codes):
 def nmi(x_codes, y_codes):
     h = min(entropy(x_codes), entropy(y_codes))
     return 0.0 if h == 0 else plugin_mi(x_codes, y_codes) / h
+
+
+def _twice_centred_midranks(values):
+    # Twice the average 1-based position of each tie group, minus (n + 1).
+    values = [float(v) for v in values]
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start
+        while end + 1 < len(order) and values[order[end + 1]] == values[order[start]]:
+            end += 1
+        for k in order[start:end + 1]:
+            ranks[k] = (start + 1) + (end + 1)
+        start = end + 1
+    return [r - (len(values) + 1) for r in ranks]
+
+
+def spearman_exact(x, y):
+    """Spearman correlation with exact integer sums, then one float formula:
+    dot / sqrt(sq_x * sq_y), clipped to [-1, 1], and 0 for a constant input."""
+    a, b = _twice_centred_midranks(x), _twice_centred_midranks(y)
+    dot = sum(p * q for p, q in zip(a, b))
+    denom = math.sqrt(float(sum(p * p for p in a)) * float(sum(q * q for q in b)))
+    return 0.0 if denom == 0.0 else min(max(float(dot) / denom, -1.0), 1.0)
 
 
 def inverse_route_scores(a, c):

@@ -275,6 +275,16 @@ class TestCompareCommand:
         assert code == 3
         assert not list(tmp_path.glob("x.*"))
 
+    def test_variant_flag_is_unknown(self, tmp_path, labeled_csv, test_csv, capsys):
+        # compare reads --variants only; --variant must not be accepted,
+        # neither ignored nor taken as an abbreviation of --variants.
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", labeled_csv, test_csv, "--variants", "ifs", "--variant", "sifs",
+                  "--alpha", "0.5", "--label-column", "y", "--output", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --variant sifs" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
     def test_repeated_variant_exit_three(self, tmp_path, capsys):
         # The inputs do not exist: the check must come before any load.
         missing = str(tmp_path / "missing.csv")

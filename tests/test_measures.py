@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import plugin_mi
+from oracles import plugin_mi, spearman_exact
 
 from infinisel import (
     BinningPolicy,
@@ -351,3 +351,24 @@ class TestKernelExactness:
             for i in range(6):
                 for j in range(6):
                     assert cache.spearman[i, j] == spearman(values[:, i], values[:, j])
+
+
+class TestSpearmanOracle:
+    @pytest.mark.parametrize("n", [2, 3, 7, 50, 500, 3000])
+    def test_block_matches_exact_integer_oracle_bitwise(self, n):
+        # The oracle ranks by explicit tie averaging and sums in Python
+        # integers; the block must equal it in every cell.
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        values = np.column_stack([
+            x,
+            np.round(x * 2) / 2,  # tied
+            np.full(n, 3.0),  # constant
+            np.round(rng.normal(size=n), 1),  # rounded
+            rng.integers(0, 3, n),  # 3 levels
+            np.round(-x + rng.normal(scale=0.5, size=n), 2),
+        ])
+        cache = build_measure_cache(Dataset(values), POLICY, need_spearman=True)
+        for i in range(6):
+            for j in range(6):
+                assert cache.spearman[i, j] == spearman_exact(values[:, i], values[:, j])
