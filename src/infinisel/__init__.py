@@ -6,7 +6,7 @@ mutual-information baseline (mrmr) and a train/test evaluation harness
 round out the package.
 """
 
-from .adjacency import AdjacencyMatrix, build_adjacency, build_ifs, build_mifs, build_sifs
+from .adjacency import AdjacencyMatrix, build_adjacency
 from .config import ALPHA_GRID, COST_GRID, SELECTOR_VARIANTS, SelectorConfig
 from .dataset import (
     Dataset,
@@ -46,8 +46,6 @@ from .scoring import (
     rank_features,
     selection_order,
     spectral_radius,
-    truncated_energy_scores,
-    truncation_length,
 )
 
 __version__ = "0.1.0"
@@ -72,10 +70,7 @@ __all__ = [
     "SelectorConfig",
     "binary_auc",
     "build_adjacency",
-    "build_ifs",
     "build_measure_cache",
-    "build_mifs",
-    "build_sifs",
     "cross_validate",
     "energy_scores",
     "evaluate_selector",
@@ -95,6 +90,4 @@ __all__ = [
     "spectral_radius",
     "stratified_fold_indices",
     "train_linear",
-    "truncated_energy_scores",
-    "truncation_length",
 ]

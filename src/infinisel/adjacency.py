@@ -99,14 +99,3 @@ def build_adjacency(cache: MeasureCache, variant: str, alpha: float) -> Adjacenc
     a = alpha * np.maximum.outer(rel, rel) + (1.0 - alpha) * (1.0 - graph.pairwise(red))
     return AdjacencyMatrix(a, variant, alpha)
 
-
-def build_ifs(cache: MeasureCache, alpha: float) -> AdjacencyMatrix:
-    return build_adjacency(cache, "ifs", alpha)
-
-
-def build_mifs(cache: MeasureCache, alpha: float) -> AdjacencyMatrix:
-    return build_adjacency(cache, "mifs", alpha)
-
-
-def build_sifs(cache: MeasureCache, alpha: float) -> AdjacencyMatrix:
-    return build_adjacency(cache, "sifs", alpha)

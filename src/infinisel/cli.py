@@ -8,12 +8,13 @@ errors, 3 for configuration or semantic errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import SELECTOR_VARIANTS, SelectorConfig
 from .dataset import Dataset, load_csv, load_libsvm
 from .errors import ConfigError, DataError
-from .evaluation import DEFAULT_N_GRID, evaluate_selector
+from .evaluation import DEFAULT_N_GRID, _evaluate
 from .measures import BinningPolicy
 from .scoring import selection_order
 
@@ -63,22 +64,25 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
-def _config_from_args(args, variant: str, allow_cv: bool) -> tuple[SelectorConfig, int]:
-    """The selector config for ``variant`` and the fold seed."""
+def _configs_from_args(args, variants, allow_cv: bool) -> tuple[list[SelectorConfig], int]:
+    """The selector config for each of ``variants`` and the fold seed."""
     binning_kind = _BINNING_NAMES.get(args.binning)
     if binning_kind is None:
         raise ConfigError(f"--binning must be 'width' or 'frequency', got {args.binning!r}")
-    config = SelectorConfig(
-        variant=_parse_variant(variant),
-        alpha=_parse_alpha(args.alpha, allow_cv),
-        c=_parse_float(args.c, "--c"),
-        preprocessing=args.preprocess,
-        binning=BinningPolicy(binning_kind, _parse_int(args.bins, "--bins")),
-    )
+    configs = [
+        SelectorConfig(
+            variant=_parse_variant(variant),
+            alpha=_parse_alpha(args.alpha, allow_cv),
+            c=_parse_float(args.c, "--c"),
+            preprocessing=args.preprocess,
+            binning=BinningPolicy(binning_kind, _parse_int(args.bins, "--bins")),
+        )
+        for variant in variants
+    ]
     seed = _parse_int(args.seed, "--seed")
     if seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
-    return config, seed
+    return configs, seed
 
 
 def _load_dataset(path: str, args) -> Dataset:
@@ -109,7 +113,7 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_rank(args) -> int:
-    config, _ = _config_from_args(args, args.variant, allow_cv=False)
+    [config], _ = _configs_from_args(args, [args.variant], allow_cv=False)
     dataset = _load_dataset(args.input, args)
     order, scores = selection_order(dataset, config)
     _write(args.output, _ranking_lines(dataset, order, scores))
@@ -117,24 +121,18 @@ def cmd_rank(args) -> int:
 
 
 def _run_evals(args, variants):
-    """Evaluate each variant in turn on one load of the train/test split;
-    returns the training split and, per variant, the report with the
-    ranking order and scores on the training split."""
-    settings = [_config_from_args(args, v, allow_cv=True) for v in variants]
+    """Evaluate the variants on one load of the train/test split and one
+    fold plan; returns the training split and, per variant, the report
+    with the ranking order and scores on the training split."""
+    configs, seed = _configs_from_args(args, variants, allow_cv=True)
     d_train = _load_dataset(args.train, args)
     d_test = _load_dataset(args.test, args)
     n_grid = _parse_n_grid(args.n_grid)
-    results = []
-    for config, seed in settings:
-        report, (order, scores) = evaluate_selector(
-            d_train, d_test, config, n_grid=n_grid, seed=seed, return_ranking=True
-        )
-        results.append((report, order, scores))
-    return d_train, results
+    return d_train, _evaluate(d_train, d_test, configs, n_grid, seed)
 
 
 def cmd_eval(args) -> int:
-    d_train, [(report, order, scores)] = _run_evals(args, [args.variant])
+    d_train, [(report, (order, scores))] = _run_evals(args, [args.variant])
     base = args.output
     _write(f"{base}.report.txt", report.to_text())
     _write(f"{base}.report.json", report.to_json())
@@ -157,7 +155,7 @@ def cmd_compare(args) -> int:
 
     base = args.output
     summary = ["variant,avg,max"]
-    for variant, (report, _, _) in zip(variants, results):
+    for variant, (report, _) in zip(variants, results):
         _write(f"{base}.{variant}.report.txt", report.to_text())
         _write(f"{base}.{variant}.report.json", report.to_json())
         summary.append(f"{variant},{report.avg!r},{report.max!r}")
@@ -190,15 +188,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Feature ranking by graph walk energies, with evaluation tools.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    # Flags in full: with abbreviations, a flag that shares a prefix with
+    # another (--variant, --variants) would silently change what a command
+    # line means.
+    add_command = functools.partial(commands.add_parser, allow_abbrev=False)
 
-    rank = commands.add_parser("rank", help="rank all features of a dataset")
+    rank = add_command("rank", help="rank all features of a dataset")
     rank.add_argument("input", help="dataset file")
     rank.add_argument("--variant", default="mifs", help=_VARIANT_HELP)
     _add_common_flags(rank, default_alpha="0.5")
     rank.add_argument("--output", default="-", help="ranking file path ('-' for stdout)")
     rank.set_defaults(func=cmd_rank)
 
-    ev = commands.add_parser("eval", help="evaluate one selector on a train/test split")
+    ev = add_command("eval", help="evaluate one selector on a train/test split")
     ev.add_argument("train", help="training split")
     ev.add_argument("test", help="test split")
     ev.add_argument("--variant", default="mifs", help=_VARIANT_HELP)
@@ -209,9 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="base path; writes <base>.report.txt/.json and <base>.ranking.csv")
     ev.set_defaults(func=cmd_eval)
 
-    # Flags in full: an abbreviated "--variant" would be read as "--variants".
-    comp = commands.add_parser("compare", help="evaluate several selectors side by side",
-                               allow_abbrev=False)
+    comp = add_command("compare", help="evaluate several selectors side by side")
     comp.add_argument("train", help="training split")
     comp.add_argument("test", help="test split")
     _add_common_flags(comp, default_alpha="cv")

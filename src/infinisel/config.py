@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .dataset import PREPROCESSING_SCHEMES
 from .errors import ConfigError
 from .measures import BinningPolicy
 
@@ -47,7 +48,7 @@ class SelectorConfig:
         object.__setattr__(self, "c", float(self.c))
         if not 0.0 < self.c < 1.0:
             raise ConfigError(f"regularization fraction c must be in (0, 1), got {self.c}")
-        if self.preprocessing not in ("none", "normalize", "standardize", "auto"):
+        if self.preprocessing not in PREPROCESSING_SCHEMES + ("auto",):
             raise ConfigError(f"unknown preprocessing {self.preprocessing!r}")
 
     @property

@@ -4,11 +4,12 @@ and maximum test accuracy.
 
 Hyperparameters (the relevance/redundancy trade-off and the classifier
 cost) are picked by stratified k-fold cross validation on the training
-split only. Each CV fold and the final train/test run go through one
-holdout function, ``_holdout``: it fits preprocessing statistics on the
-training rows only, applies them unchanged to the held-out rows, ranks,
-and scores one classifier per top-N size. So the test split can never
-influence the selection stage.
+split only, in one ``cross_validate`` call per command over the grids
+of all its configs. Each CV fold and the final train/test run go through
+one holdout function, ``_holdout``: it fits preprocessing statistics on
+the training rows only, applies them unchanged to the held-out rows,
+ranks, and fits each distinct (scheme, top-N columns, cost) classifier
+once. So the test split can never influence the selection stage.
 """
 
 from __future__ import annotations
@@ -184,10 +185,10 @@ def _holdout(train: Dataset, test: Dataset, grid, n_eval):
 
     Fits one scaler per preprocessing scheme on ``train`` only, ranks each
     distinct config once on the scaled training rows (rankings do not
-    depend on the classifier cost), then fits one classifier per entry and
-    top-N size. Returns, aligned with ``grid``, the per-N ``(accuracy,
-    auc)`` pairs on ``test`` -- ``auc`` is None unless the task is binary --
-    and each config's ``(order, scores)`` ranking.
+    depend on the classifier cost), then fits one classifier per distinct
+    (scheme, ordered top-N columns, cost). Returns, aligned with ``grid``,
+    the per-N ``(accuracy, auc)`` pairs on ``test`` -- ``auc`` is None
+    unless the task is binary -- and each config's ``(order, scores)``.
     """
     configs = list(dict.fromkeys(config for config, _ in grid))
     scaled, rankings = {}, {}
@@ -198,22 +199,34 @@ def _holdout(train: Dataset, test: Dataset, grid, n_eval):
         group = [config for config in configs if config.resolved_preprocessing == scheme]
         rankings.update(rank_scaled(scaled_train, group))
 
-    results = []
+    fits, results = {}, []
     for config, cost in grid:
-        train_values, test_values = scaled[config.resolved_preprocessing]
+        scheme = config.resolved_preprocessing
+        train_values, test_values = scaled[scheme]
         order = rankings[config][0]
         per_n = []
         for n in n_eval:
             cols = order[:n]
-            model = fit_classifier(train_values[:, cols], train.labels, cost)
-            test_x = test_values[:, cols]
-            acc = float(np.mean(model.predict(test_x) == test.labels))
-            auc = None
-            if isinstance(model, LinearClassifier):
-                auc = binary_auc(model.decision_function(test_x), test.labels, model.classes[1])
-            per_n.append((acc, auc))
+            key = (scheme, tuple(cols.tolist()), cost)
+            if key not in fits:
+                model = fit_classifier(train_values[:, cols], train.labels, cost)
+                test_x = test_values[:, cols]
+                acc = float(np.mean(model.predict(test_x) == test.labels))
+                auc = None
+                if isinstance(model, LinearClassifier):
+                    auc = binary_auc(model.decision_function(test_x), test.labels, model.classes[1])
+                fits[key] = (acc, auc)
+            per_n.append(fits[key])
         results.append(per_n)
     return results, rankings
+
+
+def _best(grid, scores):
+    """The top-scoring entry of ``grid``; ties go to the smallest alpha, then cost."""
+    def sort_key(pos):
+        config, cost = grid[pos]
+        return (-scores[pos], config.alpha if isinstance(config.alpha, float) else -1.0, cost)
+    return grid[min(range(len(grid)), key=sort_key)]
 
 
 def cross_validate(
@@ -236,25 +249,13 @@ def cross_validate(
 
     scores = np.zeros(len(config_grid))
     for fold in range(folds):
-        train_mask = assignment != fold
-        train = Dataset(
-            dataset.values[train_mask], dataset.labels[train_mask], dataset.feature_names
-        )
-        val = Dataset(
-            dataset.values[~train_mask], dataset.labels[~train_mask], dataset.feature_names
-        )
+        train, val = (Dataset(dataset.values[rows], dataset.labels[rows], dataset.feature_names)
+                      for rows in (assignment != fold, assignment == fold))
         results, _ = _holdout(train, val, config_grid, n_eval)
         for pos, per_n in enumerate(results):
             scores[pos] += float(np.mean([acc for acc, _ in per_n]))
     scores /= folds
-
-    def sort_key(pos):
-        config, cost = config_grid[pos]
-        alpha = config.alpha if isinstance(config.alpha, float) else -1.0
-        return (-scores[pos], alpha, cost)
-
-    best = min(range(len(config_grid)), key=sort_key)
-    return config_grid[best], scores
+    return _best(config_grid, scores), scores
 
 
 @dataclass(frozen=True)
@@ -311,6 +312,60 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def _evaluate(
+    d_train: Dataset, d_test: Dataset, configs, n_grid, seed: int, folds=5, cost_grid=COST_GRID
+):
+    """``evaluate_selector`` for several configs on one fold plan: one
+    ``cross_validate`` over all their grids, each config picking from its own
+    entries, then one holdout. Entries are scored independently, so each
+    config gets the report it gets alone. Returns (report, ranking) pairs."""
+    if d_train.labels is None or d_test.labels is None:
+        raise ConfigError("evaluation requires labeled train and test splits")
+    if d_train.m != d_test.m:
+        raise ConfigError(
+            f"train and test have different feature counts ({d_train.m} vs {d_test.m})"
+        )
+
+    # Per config: the chosen (config, cost), or a "cv" config's slice of
+    # the shared grid until cross validation picks from it.
+    chosen, grid = [], []
+    for config in configs:
+        if isinstance(config.alpha, str):  # "cv"
+            # The greedy baseline has no trade-off parameter to tune.
+            alphas = ALPHA_GRID if config.variant != "mrmr" else (0.0,)
+            own = [(config.with_alpha(a), cost) for a in alphas for cost in cost_grid]
+            chosen.append(slice(len(grid), len(grid) + len(own)))
+            grid += own
+        else:
+            chosen.append((config, DEFAULT_COST))
+    if any(isinstance(c, slice) for c in chosen):  # cross_validate rejects an empty grid
+        _, scores = cross_validate(d_train, grid, folds, seed, n_grid)
+        chosen = [_best(grid[c], scores[c]) if isinstance(c, slice) else c for c in chosen]
+
+    n_eval = _effective_n_grid(n_grid, d_train.m)
+    if any(int(n) > d_train.m for n in n_grid):
+        warnings.warn(f"top-N values above the feature count were clipped to m={d_train.m}")
+
+    results, rankings = _holdout(d_train, d_test, chosen, n_eval)
+    out = []
+    for (config, cost), per_n in zip(chosen, results):
+        accs, aucs = zip(*per_n)
+        report = EvalReport(
+            variant=config.variant,
+            chosen_alpha=config.fixed_alpha,
+            chosen_classifier_cost=float(cost),
+            fold_seed=seed,
+            n_requested=tuple(int(n) for n in n_grid),
+            n_evaluated=n_eval,
+            per_n_accuracy=dict(zip(n_eval, accs)),
+            avg=float(np.mean(accs)),
+            max=float(np.max(accs)),
+            per_n_auc=None if None in aucs else dict(zip(n_eval, aucs)),
+        )
+        out.append((report, rankings[config]))
+    return out
+
+
 def evaluate_selector(
     d_train: Dataset,
     d_test: Dataset,
@@ -329,45 +384,5 @@ def evaluate_selector(
     which may be a single value). Top-N values larger than the feature
     count are clipped, with a warning, and recorded in the report.
     """
-    if d_train.labels is None or d_test.labels is None:
-        raise ConfigError("evaluation requires labeled train and test splits")
-    if d_train.m != d_test.m:
-        raise ConfigError(
-            f"train and test have different feature counts ({d_train.m} vs {d_test.m})"
-        )
-
-    if isinstance(config.alpha, str):  # "cv"
-        # The greedy baseline has no trade-off parameter to tune.
-        alphas = ALPHA_GRID if config.variant != "mrmr" else (0.0,)
-        grid = [
-            (config.with_alpha(a), cost) for a in alphas for cost in cost_grid
-        ]
-        (chosen_config, chosen_cost), _ = cross_validate(d_train, grid, folds, seed, n_grid)
-    else:
-        chosen_config = config
-        chosen_cost = DEFAULT_COST
-
-    n_eval = _effective_n_grid(n_grid, d_train.m)
-    if any(int(n) > d_train.m for n in n_grid):
-        warnings.warn(
-            f"top-N values above the feature count were clipped to m={d_train.m}"
-        )
-
-    [per_n], rankings = _holdout(d_train, d_test, [(chosen_config, chosen_cost)], n_eval)
-    accs = [acc for acc, _ in per_n]
-    aucs = [auc for _, auc in per_n]
-    report = EvalReport(
-        variant=chosen_config.variant,
-        chosen_alpha=chosen_config.fixed_alpha,
-        chosen_classifier_cost=float(chosen_cost),
-        fold_seed=seed,
-        n_requested=tuple(int(n) for n in n_grid),
-        n_evaluated=n_eval,
-        per_n_accuracy=dict(zip(n_eval, accs)),
-        avg=float(np.mean(accs)),
-        max=float(np.max(accs)),
-        per_n_auc=None if None in aucs else dict(zip(n_eval, aucs)),
-    )
-    if return_ranking:
-        return report, rankings[chosen_config]
-    return report
+    [(report, ranking)] = _evaluate(d_train, d_test, [config], n_grid, seed, folds, cost_grid)
+    return (report, ranking) if return_ranking else report

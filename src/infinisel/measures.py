@@ -7,9 +7,9 @@ redundancy aggregate.
 
 Each call ranks every column at most once, into one integer matrix of
 twice the centred midranks. Spearman is its Gram product, summed exactly in
-int64 and rounded once to float64; equal-frequency bins read the same
-midranks. Mutual information keeps one state per column: bin codes, bin
-count, marginal and entropy (the labels get the same state), paired by raw
+int64 and rounded once to float64; bin codes read the same midranks.
+Mutual information keeps one state per column: bin codes, bin count,
+marginal and entropy (the labels get the same state), paired by raw
 ``_mi`` (nats) and ``_nmi`` (over the smaller marginal entropy, in [0, 1]).
 Blocks, scalar measures, label relevance, ``rdn`` and mRMR (which reads the
 raw MI block) all call these, so a block cell is bitwise equal to its
@@ -101,6 +101,8 @@ def _pair_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise ValueError("need at least 2 samples")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("measures need finite values")
     return np.column_stack([x, y])
 
 
@@ -113,19 +115,20 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(_spearman_block(_midranks(_pair_columns(x, y)))[0, 1])
 
 
-def discretize(x: np.ndarray, ranks: np.ndarray | None, policy: BinningPolicy) -> tuple[np.ndarray, int]:
+def discretize(x: np.ndarray, ranks: np.ndarray, policy: BinningPolicy) -> tuple[np.ndarray, int]:
     """Map a real vector to integer bin codes; returns (codes, bin count).
 
-    A vector with at most ``bin_count`` distinct values is treated as
-    categorical and its values become the bins directly. Otherwise
-    equal-frequency binning reads ``ranks``, the column of ``_midranks``,
-    so tied values always share a bin; either way any strictly increasing
-    transform of ``x`` yields the same codes.
+    ``ranks``, the column of ``_midranks``, counts the distinct values. A
+    vector with at most ``bin_count`` of them is categorical and its values
+    become the bins directly. Otherwise equal-frequency binning reads the
+    ranks, so tied values always share a bin; either way any strictly
+    increasing transform of ``x`` yields the same codes.
     """
     n = x.size
-    distinct, inverse = np.unique(x, return_inverse=True)
-    if distinct.size <= policy.bin_count:
-        return inverse.astype(np.int64), max(int(distinct.size), 1)
+    occupied = np.bincount(ranks + n - 1, minlength=2 * n - 1) > 0
+    distinct = int(occupied.sum())
+    if distinct <= policy.bin_count:
+        return np.cumsum(occupied)[ranks + n - 1] - 1, distinct
     bins = policy.bin_count
     if policy.kind == "equal_width":
         codes = np.floor((x - x.min()) / np.ptp(x) * bins).astype(np.int64)
@@ -147,10 +150,9 @@ def _mi_state(codes: np.ndarray, bins: int) -> _MiState:
 
 
 def _mi_states(values: np.ndarray, policy: BinningPolicy, ranks: np.ndarray | None = None) -> list[_MiState]:
-    if ranks is None and policy.kind == "equal_frequency":
+    if ranks is None:
         ranks = _midranks(values)  # unless the caller has ranked already
-    columns = [None] * values.shape[1] if ranks is None else ranks.T
-    return [_mi_state(*discretize(x, r, policy)) for x, r in zip(values.T, columns)]
+    return [_mi_state(*discretize(x, r, policy)) for x, r in zip(values.T, ranks.T)]
 
 
 def _label_state(labels: np.ndarray) -> _MiState:

@@ -4,8 +4,6 @@ A feature's energy aggregates the weights of all walks leaving it, over all
 path lengths at once: with ``r`` chosen strictly inside the convergence
 region (``r * spectral_radius < 1``) the infinite sum collapses to
 ``((I - rA)^-1 - I) @ 1``, which is evaluated here as a single linear solve.
-A truncated path-sum of the same quantity is kept alongside as a slow,
-independent cross-check.
 """
 
 from __future__ import annotations
@@ -110,29 +108,6 @@ def energy_scores(a, c: float = 0.9) -> FeatureRanking:
         raise RuntimeError(f"energy score system is singular: {exc}") from None
     scores = y - 1.0
     return FeatureRanking(np.argsort(-scores, kind="stable"), scores, r, rho)
-
-
-def truncated_energy_scores(a, r: float, max_len: int) -> np.ndarray:
-    """Partial walk-energy sums up to paths of length ``max_len``.
-
-    Evaluates ``sum_{l=1..max_len} r^l A^l @ 1`` by repeated matrix-vector
-    products. Slow but independent of the linear-solve path; used to verify
-    ``energy_scores``.
-    """
-    a = _as_matrix(a)
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    p = np.ones(a.shape[0])
-    acc = np.zeros(a.shape[0])
-    for _ in range(max_len):
-        p = r * (a @ p)
-        acc += p
-    return acc
-
-
-def truncation_length(c: float, tol: float = 1e-10) -> int:
-    """Path length at which the geometric tail drops below ``tol``."""
-    return int(np.ceil(np.log(tol * (1.0 - c)) / np.log(c)))
 
 
 def _energy_rankings(scaled: Dataset, configs) -> list[FeatureRanking]:

@@ -3,7 +3,8 @@
 These deliberately avoid the library's histogram and linear-algebra code
 paths: contingency tables are built by boolean masks, Spearman midranks by
 explicit tie averaging with dot products in Python integers, and walk
-energies go through an explicit eigendecomposition plus matrix inverse.
+energies go through an explicit eigendecomposition plus matrix inverse, or
+through truncated path sums.
 """
 
 import math
@@ -66,3 +67,22 @@ def inverse_route_scores(a, c):
     r = c / rho
     m = a.shape[0]
     return (np.linalg.inv(np.eye(m) - r * a) - np.eye(m)) @ np.ones(m)
+
+
+def truncated_energy_scores(a, r, max_len):
+    """Partial walk-energy sums ``sum_{l=1..max_len} r^l A^l @ 1``, by
+    repeated matrix-vector products."""
+    a = np.asarray(a, dtype=float)
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    p = np.ones(a.shape[0])
+    acc = np.zeros(a.shape[0])
+    for _ in range(max_len):
+        p = r * (a @ p)
+        acc += p
+    return acc
+
+
+def truncation_length(c, tol=1e-10):
+    """Path length at which the geometric tail drops below ``tol``."""
+    return int(np.ceil(np.log(tol * (1.0 - c)) / np.log(c)))

@@ -9,16 +9,15 @@ import time
 
 import numpy as np
 
-from oracles import entropy as oracle_entropy
+from oracles import entropy as oracle_entropy, truncated_energy_scores, truncation_length
 
 from infinisel import (
     ALPHA_GRID,
     BinningPolicy,
     Dataset,
     SelectorConfig,
-    build_ifs,
+    build_adjacency,
     build_measure_cache,
-    build_mifs,
     cross_validate,
     energy_scores,
     evaluate_selector,
@@ -28,8 +27,6 @@ from infinisel import (
     preprocess,
     rank_features,
     spearman,
-    truncated_energy_scores,
-    truncation_length,
 )
 from infinisel.cli import main
 from test_mrmr import oracle_mrmr
@@ -115,8 +112,8 @@ def test_criterion_4_standardized_degeneracy():
     ).T
     pre = preprocess(Dataset(cols), "standardize")
     cache = build_measure_cache(pre, POLICY, need_spearman=True, need_mi_matrix=True)
-    for build in (build_ifs, build_mifs):
-        adjacency = build(cache, 1.0)
+    for variant in ("ifs", "mifs"):
+        adjacency = build_adjacency(cache, variant, 1.0)
         assert adjacency.a.min() == adjacency.a.max()
     for variant in ("ifs", "mifs"):
         config = SelectorConfig(variant=variant, alpha=1.0, preprocessing="standardize")

@@ -6,10 +6,8 @@ from infinisel import (
     BinningPolicy,
     Dataset,
     MeasureCache,
-    build_ifs,
+    build_adjacency,
     build_measure_cache,
-    build_mifs,
-    build_sifs,
     preprocess,
 )
 
@@ -34,45 +32,45 @@ class TestIfs:
         # Standardized data: every std is 1, so the pure-relevance mix is a
         # constant all-ones matrix and ranking degenerates to tie-breaking.
         cache = MeasureCache(std=np.ones(3), spearman=np.eye(3))
-        a = build_ifs(cache, 1.0)
+        a = build_adjacency(cache, "ifs", 1.0)
         np.testing.assert_array_equal(a.a, np.ones((3, 3)))
 
     def test_alpha_zero_duplicates(self):
         cache = MeasureCache(std=np.array([0.5, 0.5]), spearman=np.ones((2, 2)))
-        a = build_ifs(cache, 0.0)
+        a = build_adjacency(cache, "ifs", 0.0)
         assert a.a[0, 1] == 0.0
 
     def test_direct_arithmetic(self):
         spr = np.array([[1.0, 0.2], [0.2, 1.0]])
         cache = MeasureCache(std=np.array([0.5, 0.3]), spearman=spr)
-        a = build_ifs(cache, 0.5)
+        a = build_adjacency(cache, "ifs", 0.5)
         np.testing.assert_allclose(a.a[0, 1], 0.5 * 0.5 + 0.5 * 0.8)
 
     def test_missing_block(self):
         cache = MeasureCache(std=np.ones(2))
         with pytest.raises(ValueError, match="spearman"):
-            build_ifs(cache, 0.5)
+            build_adjacency(cache, "ifs", 0.5)
 
 
 class TestMifs:
     def test_alpha_zero_fully_redundant_pair(self):
         cache = MeasureCache(std=np.array([0.5, 0.5]), rdn=np.array([1.0, 1.0]))
-        assert build_mifs(cache, 0.0).a[0, 1] == 0.0
+        assert build_adjacency(cache, "mifs", 0.0).a[0, 1] == 0.0
 
     def test_alpha_one_max_of_stds(self):
         cache = MeasureCache(std=np.array([0.5, 0.2, 0.4]), rdn=np.zeros(3))
-        a = build_mifs(cache, 1.0)
+        a = build_adjacency(cache, "mifs", 1.0)
         assert a.a[0, 1] == 0.5
         assert a.a[1, 2] == 0.4
 
     def test_direct_arithmetic(self):
         cache = MeasureCache(std=np.array([0.4, 0.2]), rdn=np.array([0.3, 0.7]))
-        np.testing.assert_allclose(build_mifs(cache, 0.5).a[0, 1], 0.5 * 0.4 + 0.5 * 0.7)
+        np.testing.assert_allclose(build_adjacency(cache, "mifs", 0.5).a[0, 1], 0.5 * 0.4 + 0.5 * 0.7)
 
     def test_missing_block(self):
         cache = MeasureCache(std=np.ones(2), spearman=np.eye(2))
         with pytest.raises(ValueError, match="rdn"):
-            build_mifs(cache, 0.5)
+            build_adjacency(cache, "mifs", 0.5)
 
 
 class TestSifs:
@@ -80,7 +78,7 @@ class TestSifs:
         cache = MeasureCache(
             std=np.zeros(3), spearman=np.eye(3), relevance=np.array([1.0, 0.0, 0.0])
         )
-        a = build_sifs(cache, 1.0)
+        a = build_adjacency(cache, "sifs", 1.0)
         np.testing.assert_array_equal(a.a[0], np.ones(3))
         np.testing.assert_array_equal(a.a[:, 0], np.ones(3))
         assert a.a[1, 2] == 0.0
@@ -88,32 +86,32 @@ class TestSifs:
     def test_alpha_zero_equals_ifs(self):
         rng = np.random.default_rng(21)
         cache = random_cache(rng, 5)
-        np.testing.assert_array_equal(build_sifs(cache, 0.0).a, build_ifs(cache, 0.0).a)
+        np.testing.assert_array_equal(build_adjacency(cache, "sifs", 0.0).a, build_adjacency(cache, "ifs", 0.0).a)
 
     def test_direct_arithmetic(self):
         spr = np.array([[1.0, -0.5], [-0.5, 1.0]])
         cache = MeasureCache(std=np.zeros(2), spearman=spr, relevance=np.array([0.6, 0.2]))
-        np.testing.assert_allclose(build_sifs(cache, 0.5).a[0, 1], 0.5 * 0.6 + 0.5 * 0.5)
+        np.testing.assert_allclose(build_adjacency(cache, "sifs", 0.5).a[0, 1], 0.5 * 0.6 + 0.5 * 0.5)
 
     def test_missing_relevance(self):
         cache = MeasureCache(std=np.ones(2), spearman=np.eye(2))
         with pytest.raises(ValueError, match="relevance"):
-            build_sifs(cache, 0.5)
+            build_adjacency(cache, "sifs", 0.5)
 
 
 class TestMatrixProperties:
-    @pytest.mark.parametrize("builder", [build_ifs, build_mifs, build_sifs])
+    @pytest.mark.parametrize("variant", ["ifs", "mifs", "sifs"], ids="build_{}".format)
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-    def test_symmetry_and_range(self, builder, alpha):
+    def test_symmetry_and_range(self, variant, alpha):
         rng = np.random.default_rng(22)
         for _ in range(20):
-            a = builder(random_cache(rng, 6), alpha)
+            a = build_adjacency(random_cache(rng, 6), variant, alpha)
             np.testing.assert_array_equal(a.a, a.a.T)
             assert a.a.min() >= 0.0
             assert a.a.max() <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("builder", [build_ifs, build_mifs, build_sifs])
-    def test_permutation_equivariance(self, builder):
+    @pytest.mark.parametrize("variant", ["ifs", "mifs", "sifs"], ids="build_{}".format)
+    def test_permutation_equivariance(self, variant):
         rng = np.random.default_rng(23)
         cache = random_cache(rng, 6)
         perm = rng.permutation(6)
@@ -124,8 +122,8 @@ class TestMatrixProperties:
             rdn=cache.rdn[perm],
             relevance=cache.relevance[perm],
         )
-        direct = builder(permuted, 0.4).a
-        reindexed = builder(cache, 0.4).a[np.ix_(perm, perm)]
+        direct = build_adjacency(permuted, variant, 0.4).a
+        reindexed = build_adjacency(cache, variant, 0.4).a[np.ix_(perm, perm)]
         np.testing.assert_array_equal(direct, reindexed)
 
     def test_standardized_alpha_one_constant_from_data(self):
@@ -140,7 +138,7 @@ class TestMatrixProperties:
         ).T
         pre = preprocess(Dataset(cols), "standardize")
         cache = build_measure_cache(pre, BinningPolicy(), need_spearman=True, need_mi_matrix=True)
-        for a in (build_ifs(cache, 1.0), build_mifs(cache, 1.0)):
+        for a in (build_adjacency(cache, "ifs", 1.0), build_adjacency(cache, "mifs", 1.0)):
             assert a.a.min() == a.a.max() == 1.0
 
     def test_constructor_rejects_asymmetry(self):

@@ -167,6 +167,14 @@ class TestRankCommand:
         assert code == 3
         assert "binning" in capsys.readouterr().err
 
+    def test_abbreviated_flag_is_unknown(self, tmp_path, labeled_csv, capsys):
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", labeled_csv, "--label", "y", "--output", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --label y" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preprocess_exit_three(self, labeled_csv, capsys):
         code = main(["rank", labeled_csv, "--preprocess", "whiten", "--label-column", "y"])
         assert code == 3
@@ -212,6 +220,14 @@ class TestEvalCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "--seed" in err and "Traceback" not in err
+
+    def test_abbreviated_flag_is_unknown(self, tmp_path, labeled_csv, test_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", labeled_csv, test_csv, "--var", "sifs", "--alpha", "0.5",
+                  "--label-column", "y", "--output", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --var sifs" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
 
     def test_mismatched_feature_counts_exit_three(self, tmp_path, labeled_csv, capsys):
         rng = np.random.default_rng(93)
@@ -259,6 +275,19 @@ class TestCompareCommand:
             base = tmp_path / f"eval-{variant}"
             assert main(["eval", labeled_csv, test_csv, "--variant", variant, *common,
                          "--output", str(base)]) == 0
+            for ext in ("report.txt", "report.json"):
+                compared = (tmp_path / f"cmp.{variant}.{ext}").read_bytes()
+                assert compared == (tmp_path / f"eval-{variant}.{ext}").read_bytes()
+
+    def test_cv_reports_match_eval_per_variant(self, tmp_path, labeled_csv, test_csv):
+        # One cross validation over both variants' grids picks the same
+        # alpha and cost, and so writes the same bytes, as one per variant.
+        common = ["--alpha", "cv", "--label-column", "y", "--n-grid", "2"]
+        assert main(["compare", labeled_csv, test_csv, "--variants", "sifs,mrmr", *common,
+                     "--output", str(tmp_path / "cmp")]) == 0
+        for variant in ("sifs", "mrmr"):
+            assert main(["eval", labeled_csv, test_csv, "--variant", variant, *common,
+                         "--output", str(tmp_path / f"eval-{variant}")]) == 0
             for ext in ("report.txt", "report.json"):
                 compared = (tmp_path / f"cmp.{variant}.{ext}").read_bytes()
                 assert compared == (tmp_path / f"eval-{variant}.{ext}").read_bytes()

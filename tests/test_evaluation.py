@@ -14,6 +14,7 @@ from infinisel import (
     stratified_fold_indices,
     train_linear,
 )
+from infinisel import evaluation
 from infinisel.evaluation import fit_classifier
 
 
@@ -223,6 +224,15 @@ class TestEvaluateSelector:
         with pytest.raises(ConfigError, match="top-N grid is empty"):
             evaluate_selector(train, test, config, n_grid=())
 
+    @pytest.mark.parametrize("variant", ["ifs", "mrmr"])
+    def test_empty_cost_grid_is_config_error(self, variant):
+        rng = np.random.default_rng(86)
+        train = labeled_dataset(rng, 30, 4)
+        test = labeled_dataset(rng, 20, 4)
+        config = SelectorConfig(variant=variant, alpha="cv")
+        with pytest.raises(ConfigError, match="empty configuration grid"):
+            evaluate_selector(train, test, config, n_grid=(2,), cost_grid=())
+
     def test_multiclass_accuracy_is_exact_match_fraction(self):
         rng = np.random.default_rng(74)
         n = 60
@@ -350,3 +360,21 @@ class TestCrossValidate:
         for pos, entry in enumerate(grid):
             _, single = cross_validate(d, [entry], folds=3, seed=2, n_grid=(2, 4))
             assert scores[pos].tobytes() == single[0].tobytes()
+
+    def test_each_distinct_fit_runs_once(self, monkeypatch):
+        # A repeated entry, and alphas that may rank the same top-N columns,
+        # must not refit a classifier: one fit per distinct training matrix
+        # (fold rows, ordered columns) and cost.
+        fits = []
+
+        def counting_train_linear(x, y, cost, epochs=evaluation.DEFAULT_EPOCHS):
+            fits.append((x.tobytes(), x.shape, y.tobytes(), cost))
+            return train_linear(x, y, cost, epochs)
+
+        monkeypatch.setattr(evaluation, "train_linear", counting_train_linear)
+        rng = np.random.default_rng(85)
+        d = labeled_dataset(rng, 40, 5, perfect_first=True)
+        config = SelectorConfig(variant="sifs", alpha=0.5)
+        grid = [(config, 1.0), (config.with_alpha(0.6), 1.0), (config, 1.0), (config, 0.1)]
+        cross_validate(d, grid, folds=4, seed=0, n_grid=(1, 3))
+        assert fits and len(fits) == len(set(fits))

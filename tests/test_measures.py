@@ -99,6 +99,17 @@ class TestSpearman:
         assert spearman(x, y**3) == base
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "measure", [spearman, mutual_information, normalized_mi], ids=lambda f: f.__name__
+)
+def test_non_finite_input_rejected(measure, bad):
+    extra = () if measure is spearman else (POLICY,)
+    for x, y in (([bad, 1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, 2.0, bad])):
+        with pytest.raises(ValueError, match="finite"):
+            measure(np.array(x), np.array(y), *extra)
+
+
 class TestMutualInformation:
     def test_identical_balanced_binary(self):
         x = np.array([0.0, 0.0, 1.0, 1.0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import inverse_route_scores, nmi
+from oracles import inverse_route_scores, nmi, truncated_energy_scores, truncation_length
 
 from infinisel import (
     ConfigError,
@@ -12,8 +12,6 @@ from infinisel import (
     rank_features,
     selection_order,
     spectral_radius,
-    truncated_energy_scores,
-    truncation_length,
 )
 
 
