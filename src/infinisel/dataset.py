@@ -50,6 +50,12 @@ class Dataset:
             raise DataError(
                 f"dataset '{self.name}': non-finite value at sample {bad[0]}, feature {bad[1]}"
             )
+        # A finite std bounds every deviation, so scaling and measures stay finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite_std = np.isfinite(values.std(axis=0))
+        if not finite_std.all():
+            raise DataError(f"dataset '{self.name}': standard deviation of feature "
+                            f"{np.argmin(finite_std)} overflows float64")
         object.__setattr__(self, "values", _readonly(values))
 
         if self.labels is not None:
@@ -196,7 +202,7 @@ def load_csv(path: str, label_column: str | None = None) -> Dataset:
     Error messages carry 1-based row/column coordinates.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
@@ -248,7 +254,7 @@ def load_libsvm(path: str) -> Dataset:
     absent indices are zero-filled. The width is the maximum index seen.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None

@@ -19,11 +19,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .config import ALPHA_GRID, COST_GRID, SelectorConfig
 from .dataset import Dataset, fit_scaler
 from .errors import ConfigError
+from .measures import _midranks
 from .scoring import rank_scaled
 
 DEFAULT_N_GRID = (10, 50, 100, 150, 200)
@@ -132,13 +132,13 @@ def fit_classifier(x, y, cost):
 
 
 def binary_auc(scores: np.ndarray, labels: np.ndarray, positive) -> float:
-    """Area under the ROC curve via midrank statistics (binary tasks only)."""
+    """Area under the ROC curve, U / (n_pos · n_neg) from exact ``_midranks`` (binary tasks only)."""
     pos = labels == positive
     n_pos = int(pos.sum())
     n_neg = pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    ranks = rankdata(scores)
+    ranks = (_midranks(np.asarray(scores)[:, None])[:, 0] + pos.size + 1) / 2
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

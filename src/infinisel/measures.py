@@ -6,7 +6,8 @@ mutual information over discretized histograms, and the per-feature mean
 redundancy aggregate.
 
 Each call ranks every column at most once, into one integer matrix of
-twice the centred midranks. Spearman is its Gram product, summed exactly in
+twice the centred midranks from one vectorised sort (``_midranks``, which
+also ranks AUC scores). Spearman is its Gram product, summed exactly in
 int64 and rounded once to float64; bin codes read the same midranks.
 Mutual information keeps one state per column: bin codes, bin count,
 marginal and entropy (the labels get the same state), paired by raw
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dataset import Dataset
 from .errors import ConfigError
@@ -75,11 +75,20 @@ def feature_std(dataset: Dataset, i: int) -> float:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     # 2·midrank − (n + 1) per column: twice the centred midranks, integers.
-    n, m = values.shape
-    ranks = np.empty((n, m), dtype=np.int64, order="F")
-    for i in range(m):
-        ranks[:, i] = 2 * rankdata(values[:, i], method="average") - (n + 1)
-    return ranks
+    # One sort per column; a tie run at sorted positions [s, e) has midrank
+    # (s + 1 + e) / 2, so its cells get s + e − n. −0.0 and 0.0 tie.
+    rows = np.ascontiguousarray(values.T)
+    m, n = rows.shape
+    order = np.argsort(rows, axis=1)
+    ordered = np.take_along_axis(rows, order, axis=1)
+    edge = np.ones((m, n + 1), dtype=bool)  # a run starts at k; k = n ends the last
+    edge[:, 1:n] = ordered[:, 1:] != ordered[:, :-1]
+    k = np.arange(n + 1, dtype=np.int64)
+    starts = np.maximum.accumulate(np.where(edge, k, 0), axis=1)[:, :n]
+    ends = np.minimum.accumulate(np.where(edge, k, n)[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    ranks = np.empty((m, n), dtype=np.int64)
+    np.put_along_axis(ranks, order, starts + ends - n, axis=1)
+    return ranks.T
 
 
 def _spearman_block(ranks: np.ndarray) -> np.ndarray:

@@ -51,6 +51,15 @@ def _twice_centred_midranks(values):
     return [r - (len(values) + 1) for r in ranks]
 
 
+def auc_pairs(scores, labels, positive):
+    """AUC as the share of (positive, negative) pairs ordered right, a tie
+    worth one half: U / (n_pos * n_neg), counted pair by pair."""
+    pos = [float(s) for s, y in zip(scores, labels) if y == positive]
+    neg = [float(s) for s, y in zip(scores, labels) if y != positive]
+    twice_u = sum(2 * (p > q) + (p == q) for p in pos for q in neg)
+    return (twice_u / 2) / (len(pos) * len(neg))
+
+
 def spearman_exact(x, y):
     """Spearman correlation with exact integer sums, then one float formula:
     dot / sqrt(sq_x * sq_y), clipped to [-1, 1], and 0 for a constant input."""

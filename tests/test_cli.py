@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,40 @@ class TestRankCommand:
         err = capsys.readouterr().err
         assert "preprocessing" in err and "usage" not in err
 
+    @pytest.mark.parametrize("column, variant, preprocess", [
+        (["0", "1e200", "2e200", "1"], "ifs", "none"),
+        (["0", "1e200", "2e200", "1"], "mifs", "none"),
+        (["0", "1e200", "2e200", "1"], "sifs", "auto"),
+        (["0", "1e308", "-1e308", "1"], "ifs", "normalize"),
+    ], ids=["ifs-none", "mifs-none", "sifs-standardize", "ifs-normalize-1e308"])
+    def test_overflowing_spread_exit_two(self, tmp_path, capsys, column, variant, preprocess):
+        # Every cell is finite, but the column's std overflows float64.
+        src = tmp_path / "big.csv"
+        src.write_text("a,b,y\n" + "".join(f"{v},{b},{b % 2}\n" for b, v in enumerate(column)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["rank", str(src), "--label-column", "y", "--variant", variant,
+                         "--alpha", "0.5", "--preprocess", preprocess])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "feature 0" in err[0]
+
+    @pytest.mark.parametrize("text, fmt", [
+        ("y,a,b\n0,1.5,2\n1,0.5,3\n0,2.5,1\n1,3.5,0\n", "csv"),
+        ("a,b,y\n1.5,2,0\n0.5,3,1\n2.5,1,0\n3.5,0,1\n", "csv"),
+        ("1 1:0.5 2:1.0\n0 1:1.5 2:0.2\n1 1:0.1 2:1.1\n0 2:0.3\n", "libsvm"),
+    ], ids=["csv-label-first", "csv-label-last", "libsvm"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, text, fmt):
+        outputs = []
+        for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+            src, out = tmp_path / name, tmp_path / f"{name}.out"
+            src.write_bytes(data)
+            argv = ["rank", str(src), "--format", fmt, "--variant", "mrmr", "--output", str(out)]
+            assert main(argv + (["--label-column", "y"] if fmt == "csv" else [])) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestEvalCommand:
     def test_writes_reports_and_prints_summary(self, tmp_path, labeled_csv, test_csv, capsys):
@@ -322,3 +357,34 @@ class TestCompareCommand:
         assert code == 3
         assert "ifs" in capsys.readouterr().err
         assert not list(tmp_path.glob("x.*"))
+
+
+NUMPY_AND_STDLIB_ONLY = """
+import sys
+allowed = set(sys.stdlib_module_names) | {"numpy", "infinisel"}
+class _NumpyAndStdlibOnly:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] not in allowed:
+            raise ImportError(f"{name} is neither numpy nor in the standard library")
+sys.meta_path.insert(0, _NumpyAndStdlibOnly())
+import infinisel
+from infinisel.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestNumpyOnly:
+    @pytest.mark.parametrize("command", ["rank", "eval"])
+    def test_cli_runs_on_numpy_and_stdlib_alone(self, tmp_path, labeled_csv, test_csv, command):
+        # Every other third-party import fails in this interpreter.
+        argv = {
+            "rank": ["rank", labeled_csv, "--label-column", "y", "--output", str(tmp_path / "r.csv")],
+            "eval": ["eval", labeled_csv, test_csv, "--label-column", "y", "--alpha", "cv",
+                     "--n-grid", "2", "--output", str(tmp_path / "e")],
+        }[command]
+        package_root = str(Path(infinisel.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", NUMPY_AND_STDLIB_ONLY, *argv], env=env,
+                              capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")

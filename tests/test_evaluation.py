@@ -16,6 +16,7 @@ from infinisel import (
 )
 from infinisel import evaluation
 from infinisel.evaluation import fit_classifier
+from oracles import auc_pairs
 
 
 def separable_clouds(rng, n_per_side, spread=0.1):
@@ -89,6 +90,19 @@ class TestBinaryAuc:
     def test_tied_scores_are_half(self):
         y = np.array([0, 1, 0, 1])
         assert binary_auc(np.zeros(4), y, 1) == 0.5
+
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_matches_pair_count_oracle_bitwise(self, decimals):
+        # Untied scores, then rounding that ties more and more of them.
+        rng = np.random.default_rng(77 if decimals is None else 78 + decimals)
+        for _ in range(40):
+            n = int(rng.integers(2, 60))
+            scores = rng.normal(size=n)
+            if decimals is not None:
+                scores = np.round(scores, decimals)
+            labels = rng.choice([3, 7], size=n)
+            labels[:2] = [3, 7]
+            assert binary_auc(scores, labels, 7).hex() == auc_pairs(scores, labels, 7).hex()
 
 
 class TestStratifiedFolds:

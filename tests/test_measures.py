@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import plugin_mi, spearman_exact
+from oracles import _twice_centred_midranks, plugin_mi, spearman_exact
 
 from infinisel import (
     BinningPolicy,
@@ -17,6 +17,7 @@ from infinisel import (
     relevance_to_labels,
     spearman,
 )
+from infinisel.measures import _midranks
 
 POLICY = BinningPolicy()
 
@@ -383,3 +384,23 @@ class TestSpearmanOracle:
         for i in range(6):
             for j in range(6):
                 assert cache.spearman[i, j] == spearman_exact(values[:, i], values[:, j])
+
+
+class TestMidranks:
+    @pytest.mark.parametrize("n", [2, 3, 9, 200])
+    def test_matches_oracle_column_by_column(self, n):
+        # ±0.0 tie; subnormals and ±1e300 are ordinary distinct values.
+        rng = np.random.default_rng(500 + n)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
+        values = np.column_stack([
+            rng.normal(size=n),
+            np.resize([0.0, -0.0], n),
+            rng.choice(special, size=n),
+            np.full(n, -0.0),  # all tied
+            np.where(rng.random(n) < 0.5, rng.choice(special, size=n), np.round(rng.normal(size=n), 1)),
+            rng.integers(0, 3, n).astype(float),
+        ])
+        ranks = _midranks(values)
+        assert ranks.dtype == np.int64 and ranks.shape == values.shape and ranks.flags.f_contiguous
+        for i in range(values.shape[1]):
+            assert ranks[:, i].tolist() == _twice_centred_midranks(values[:, i])
