@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,13 @@ PREPROCESSING_SCHEMES = ("none", "normalize", "standardize")
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _is_int64(v) -> bool:
+    """Whether label ``v`` is an integer, or an integral float, within int64."""
+    if isinstance(v, float):
+        return v.is_integer() and -(2.0**63) <= v < 2.0**63
+    return isinstance(v, numbers.Integral) and -(2**63) <= int(v) < 2**63
 
 
 @dataclass(frozen=True)
@@ -59,11 +67,19 @@ class Dataset:
         object.__setattr__(self, "values", _readonly(values))
 
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = self.labels
+            if not isinstance(labels, np.ndarray):  # object dtype: big ints never pass through float
+                labels = np.asarray(labels, dtype=object)
             if labels.shape != (n,):
                 raise DataError(
                     f"dataset '{self.name}': {labels.size} labels for {n} samples"
                 )
+            if labels.dtype != np.int64:
+                for i, v in enumerate(labels.tolist()):
+                    if not _is_int64(v):
+                        raise DataError(f"dataset '{self.name}': label {v!r} of sample {i} "
+                                        "is not an integer in the 64-bit range")
+                labels = labels.astype(np.int64)
             if np.unique(labels).size < 2:
                 raise DataError(f"dataset '{self.name}': labels must have at least 2 classes")
             object.__setattr__(self, "labels", _readonly(labels))

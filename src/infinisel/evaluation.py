@@ -42,7 +42,6 @@ class LinearClassifier:
 
     weights: np.ndarray
     bias: float
-    cost: float
     classes: np.ndarray
     objective_history: tuple[float, ...] = ()
 
@@ -79,35 +78,32 @@ def train_linear(
 
     def objective(w, b):
         margins = t * (x @ w + b)
-        return 0.5 * lam * float(w @ w) + float(np.maximum(0.0, 1.0 - margins).mean())
+        return 0.5 * lam * float(w @ w) + float(np.maximum(0.0, 1.0 - margins).sum()) / n, margins
 
     w = np.zeros(k)
     b = 0.0
-    obj = objective(w, b)
+    obj, margins = objective(w, b)
     history = [obj]
     step = 1.0
     for _ in range(epochs):
-        margins = t * (x @ w + b)
-        active = t * (margins < 1.0)
+        active = t * (margins < 1.0)  # margins of the current (w, b), from its objective call
         gw = lam * w - (active @ x) / n
         gb = -float(active.sum()) / n
         if float(gw @ gw) + gb * gb <= 1e-24:
             break
         step = min(step * 2.0, 1e6)
-        accepted = False
         while step > 1e-18:
             w_new = w - step * gw
             b_new = b - step * gb
-            obj_new = objective(w_new, b_new)
+            obj_new, margins_new = objective(w_new, b_new)
             if obj_new < obj:
-                w, b, obj = w_new, b_new, obj_new
-                accepted = True
+                w, b, obj, margins = w_new, b_new, obj_new, margins_new
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
         history.append(obj)
-    return LinearClassifier(w, float(b), float(cost), classes, tuple(history))
+    return LinearClassifier(w, float(b), classes, tuple(history))
 
 
 @dataclass(frozen=True)

@@ -95,3 +95,48 @@ def truncated_energy_scores(a, r, max_len):
 def truncation_length(c, tol=1e-10):
     """Path length at which the geometric tail drops below ``tol``."""
     return int(np.ceil(np.log(tol * (1.0 - c)) / np.log(c)))
+
+
+def train_linear_reference(x, y, cost, epochs):
+    """``train_linear``'s batch subgradient loop written plainly: margins
+    recomputed at each epoch start, the hinge averaged by ``ndarray.mean``,
+    and an ``accepted`` flag for the backtracking search. Returns the
+    weights, the bias, the objective history and why the loop stopped
+    ("cap", "gradient" or "no step")."""
+    x = np.asarray(x, dtype=np.float64)
+    classes = np.unique(y)
+    t = np.where(np.asarray(y) == classes[1], 1.0, -1.0)
+    n, k = x.shape
+    lam = 1.0 / cost
+
+    def objective(w, b):
+        margins = t * (x @ w + b)
+        return 0.5 * lam * float(w @ w) + float(np.maximum(0.0, 1.0 - margins).mean())
+
+    w = np.zeros(k)
+    b = 0.0
+    obj = objective(w, b)
+    history = [obj]
+    step = 1.0
+    for _ in range(epochs):
+        margins = t * (x @ w + b)
+        active = t * (margins < 1.0)
+        gw = lam * w - (active @ x) / n
+        gb = -float(active.sum()) / n
+        if float(gw @ gw) + gb * gb <= 1e-24:
+            return w, float(b), history, "gradient"
+        step = min(step * 2.0, 1e6)
+        accepted = False
+        while step > 1e-18:
+            w_new = w - step * gw
+            b_new = b - step * gb
+            obj_new = objective(w_new, b_new)
+            if obj_new < obj:
+                w, b, obj = w_new, b_new, obj_new
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            return w, float(b), history, "no step"
+        history.append(obj)
+    return w, float(b), history, "cap"

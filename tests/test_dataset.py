@@ -34,6 +34,25 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match="labels"):
             Dataset(np.ones((3, 2)), labels=[0, 1])
 
+    @pytest.mark.parametrize("labels, label", [
+        ([0.5, 1.5, 1.7], "label 0.5 of sample 0"),
+        ([0, 1, 2**70], f"label {2**70} of sample 2"),
+        ([0, 1, float("nan")], "label nan of sample 2"),
+    ], ids=["fraction", "above-int64", "nan"])
+    def test_rejects_labels_that_are_not_int64_integers(self, labels, label):
+        with pytest.raises(DataError, match=f"{label} is not an integer"):
+            Dataset(np.ones((3, 2)), labels=labels)
+
+    @pytest.mark.parametrize("labels, expected", [
+        ([0.0, 1.0, 1.0], [0, 1, 1]),
+        ([False, True, True], [0, 1, 1]),
+        (np.array([0, 1, 1], dtype=np.int32), [0, 1, 1]),
+        (np.array([0, 1, 1]), [0, 1, 1]),
+        ([2**53 + 1, 2**53, 1.0], [2**53 + 1, 2**53, 1]),
+    ], ids=["float", "bool", "int32", "int64", "above-2-53"])
+    def test_integer_valued_labels_accepted(self, labels, expected):
+        assert Dataset(np.ones((3, 2)), labels=labels).labels.tolist() == expected
+
     def test_values_are_immutable(self):
         d = Dataset(np.ones((2, 2)))
         with pytest.raises(ValueError):

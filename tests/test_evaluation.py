@@ -16,7 +16,7 @@ from infinisel import (
 )
 from infinisel import evaluation
 from infinisel.evaluation import fit_classifier
-from oracles import auc_pairs
+from oracles import auc_pairs, train_linear_reference
 
 
 def separable_clouds(rng, n_per_side, spread=0.1):
@@ -79,6 +79,48 @@ class TestTrainLinear:
         y = np.repeat([3, 7, 9], 20)  # arbitrary class ids
         model = fit_classifier(x, y, cost=10.0)
         assert np.mean(model.predict(x) == y) >= 0.95
+
+
+TRAINER_KINDS = ("normal", "rounded", "constant column", "separable", "constant only")
+
+
+def trainer_problem(seed):
+    """A seeded binary problem for the trainer; kind and epoch cap cycle with the seed."""
+    rng = np.random.default_rng(seed)
+    kind = TRAINER_KINDS[seed % len(TRAINER_KINDS)]
+    n, k = int(rng.integers(4, 100)), int(rng.integers(1, 12))
+    x = rng.normal(size=(n, k))
+    y = np.arange(n) % 2 if kind == "constant only" else rng.integers(0, 2, n)
+    y[:2] = (0, 1)
+    if kind == "rounded":
+        x = np.round(x)
+    elif kind == "constant column":
+        x[:, rng.integers(k)] = rng.normal()
+    elif kind == "separable":
+        y = np.where(x[:, 0] > 0, 1, 0)
+        y[:2] = (0, 1)
+        x[:, 0] += 2.0 * y - 1.0
+    elif kind == "constant only":  # at even n, balanced labels give a zero gradient at the start
+        x[:] = rng.normal(size=k)
+    cost = float(10.0 ** rng.uniform(-2, 2))
+    epochs = (1, 5, 200)[seed // len(TRAINER_KINDS) % 3]
+    return x, y, cost, epochs
+
+
+class TestTrainLinearExactness:
+    def test_bitwise_equal_to_reference_loop(self):
+        stops = set()
+        for seed in range(240):
+            x, y, cost, epochs = trainer_problem(seed)
+            model = train_linear(x, y, cost, epochs)
+            weights, bias, history, stop = train_linear_reference(x, y, cost, epochs)
+            assert model.weights.tobytes() == weights.tobytes(), seed
+            assert model.bias.hex() == bias.hex(), seed
+            assert [h.hex() for h in model.objective_history] == [h.hex() for h in history], seed
+            stops.add((stop, epochs))
+        # Every way out of the loop is exercised: the cap (at 1 epoch too),
+        # the gradient-norm test and a backtracking search with no accepted step.
+        assert {("cap", 1), ("cap", 200), ("gradient", 200), ("no step", 200)} <= stops
 
 
 class TestBinaryAuc:
