@@ -35,8 +35,8 @@ def _is_int64(v) -> bool:
 class Dataset:
     """An n-samples by m-features matrix with optional labels and names.
 
-    Instances are validated on construction and never mutated afterwards;
-    they can be shared freely across workers.
+    Instances are validated on construction and hold read-only arrays of
+    their own, never the caller's; they can be shared freely across workers.
     """
 
     values: np.ndarray
@@ -46,6 +46,8 @@ class Dataset:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
+        if values is self.values:  # freeze a private copy, never the caller's array
+            values = values.copy()
         if values.ndim != 2:
             raise DataError(f"dataset '{self.name}': values must be 2-D, got shape {values.shape}")
         n, m = values.shape
@@ -80,6 +82,8 @@ class Dataset:
                         raise DataError(f"dataset '{self.name}': label {v!r} of sample {i} "
                                         "is not an integer in the 64-bit range")
                 labels = labels.astype(np.int64)
+            elif labels is self.labels:
+                labels = labels.copy()
             if np.unique(labels).size < 2:
                 raise DataError(f"dataset '{self.name}': labels must have at least 2 classes")
             object.__setattr__(self, "labels", _readonly(labels))
@@ -209,14 +213,63 @@ def _parse_label(token: str, row: int, col: int) -> int:
     return value
 
 
-def load_csv(path: str, label_column: str | None = None) -> Dataset:
-    """Load a comma-separated dataset.
+def _header(path: str, first_row: list[str], n_rows: int,
+            label_column: str | None) -> tuple[list[str] | None, int | None]:
+    """The header (None if the first row is all numeric) and the label
+    column's index, for a file of ``n_rows`` non-empty rows."""
+    has_header = any(not _is_number(cell) for cell in first_row)
+    header = [cell.strip() for cell in first_row] if has_header else None
+    if has_header and n_rows == 1:
+        raise DataError(f"{path}: no data rows")
+    label_idx: int | None = None
+    if label_column is not None:
+        if header is None or label_column not in header:
+            raise DataError(f"{path}: label column {label_column!r} not found in header")
+        label_idx = header.index(label_column)
+    return header, label_idx
 
-    The first row is treated as a header iff any of its cells is
-    non-numeric. When ``label_column`` names a header column, that column
-    is parsed as integer class labels and excluded from the features.
-    Error messages carry 1-based row/column coordinates.
+
+# csv-module syntax (quotes, CR line ends, NUL) and the separators that numpy
+# strips as whitespace but float() rejects: text holding any of these is
+# parsed cell by cell.
+_CELLWISE = ('"', "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _parse_plain(path: str, text: str, label_column: str | None):
+    """Parse a plain numeric CSV text in one ``np.loadtxt`` call.
+
+    Returns ``(header, label_idx, values, labels)``, or None whenever the
+    per-cell parse could read the text differently or would raise: it then
+    words the error.
     """
+    if any(c in text for c in _CELLWISE):
+        return None
+    lines = [line for line in text.split("\n") if line]
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    first_row = lines[0].split(",")
+    header, label_idx = _header(path, first_row, len(lines), label_column)
+    data = lines[1:] if header is not None else lines
+    try:
+        table = np.loadtxt(data, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(data), len(first_row)) or not np.isfinite(table).all():
+        return None
+    labels = None
+    if label_idx is not None:
+        labels = table[:, label_idx]
+        # Below 2**53 the float of an integer token is exact.
+        if not ((np.abs(labels) < 2.0**53) & (np.trunc(labels) == labels)).all():
+            return None
+        labels = labels.astype(np.int64)
+        table = np.delete(table, label_idx, axis=1)
+    return header, label_idx, table, labels
+
+
+def _parse_cells(path: str, label_column: str | None):
+    """Parse a CSV file with ``csv.reader`` and ``float()`` cell by cell;
+    every error message of ``load_csv`` is worded here."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -227,23 +280,13 @@ def load_csv(path: str, label_column: str | None = None) -> Dataset:
     if not rows:
         raise DataError(f"{path}: empty file")
 
-    has_header = any(not _is_number(cell) for cell in rows[0])
-    header = [cell.strip() for cell in rows[0]] if has_header else None
-    data_rows = rows[1:] if has_header else rows
-    if not data_rows:
-        raise DataError(f"{path}: no data rows")
-
+    header, label_idx = _header(path, rows[0], len(rows), label_column)
+    data_rows = rows[1:] if header is not None else rows
     width = len(rows[0])
-    label_idx: int | None = None
-    if label_column is not None:
-        if header is None or label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not found in header")
-        label_idx = header.index(label_column)
-
     values = np.empty((len(data_rows), width - (0 if label_idx is None else 1)))
     labels = np.empty(len(data_rows), dtype=np.int64) if label_idx is not None else None
     for r, row in enumerate(data_rows):
-        rownum = r + (2 if has_header else 1)
+        rownum = r + (1 if header is None else 2)
         if len(row) != width:
             raise DataError(
                 f"{path}: row {rownum} has {len(row)} cells, expected {width}"
@@ -256,7 +299,32 @@ def load_csv(path: str, label_column: str | None = None) -> Dataset:
                 colname = header[c] if header else None
                 values[r, k] = _parse_cell(cell, rownum, c + 1, colname)
                 k += 1
+    return header, label_idx, values, labels
 
+
+def load_csv(path: str, label_column: str | None = None) -> Dataset:
+    """Load a comma-separated dataset.
+
+    The first row is treated as a header iff any of its cells is
+    non-numeric. When ``label_column`` names a header column, that column
+    is parsed as integer class labels and excluded from the features.
+    Error messages carry 1-based row/column coordinates.
+
+    A plain numeric file is parsed in one C pass (``np.loadtxt``). Quoted
+    cells, CR line ends, NUL and the control separators U+001C..U+001F,
+    over-long lines, labels at or above 2**53 in magnitude and any file
+    that fails to parse take the per-cell path, which reads the file again
+    and words every error.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:  # the per-cell reader reports the chunk-relative position
+        text = None
+    parsed = None if text is None else _parse_plain(path, text, label_column)
+    header, label_idx, values, labels = parsed or _parse_cells(path, label_column)
     feature_names = None
     if header is not None:
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)

@@ -4,12 +4,16 @@ These deliberately avoid the library's histogram and linear-algebra code
 paths: contingency tables are built by boolean masks, Spearman midranks by
 explicit tie averaging with dot products in Python integers, and walk
 energies go through an explicit eigendecomposition plus matrix inverse, or
-through truncated path sums.
+through truncated path sums. CSV files are read by ``csv.reader`` and
+parsed cell by cell.
 """
 
+import csv
 import math
 
 import numpy as np
+
+from infinisel.dataset import Dataset, DataError, _is_number, _parse_cell, _parse_label
 
 
 def plugin_mi(x_codes, y_codes):
@@ -140,3 +144,52 @@ def train_linear_reference(x, y, cost, epochs):
             return w, float(b), history, "no step"
         history.append(obj)
     return w, float(b), history, "cap"
+
+
+def load_csv_reference(path, label_column=None):
+    """``load_csv`` as a per-cell loop only: every row through
+    ``csv.reader`` and every cell through ``float()`` or ``int()``."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:  # non-UTF-8 bytes, over-long fields
+        raise DataError(f"{path}: unparseable CSV: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: empty file")
+
+    has_header = any(not _is_number(cell) for cell in rows[0])
+    header = [cell.strip() for cell in rows[0]] if has_header else None
+    data_rows = rows[1:] if has_header else rows
+    if not data_rows:
+        raise DataError(f"{path}: no data rows")
+
+    width = len(rows[0])
+    label_idx: int | None = None
+    if label_column is not None:
+        if header is None or label_column not in header:
+            raise DataError(f"{path}: label column {label_column!r} not found in header")
+        label_idx = header.index(label_column)
+
+    values = np.empty((len(data_rows), width - (0 if label_idx is None else 1)))
+    labels = np.empty(len(data_rows), dtype=np.int64) if label_idx is not None else None
+    for r, row in enumerate(data_rows):
+        rownum = r + (2 if has_header else 1)
+        if len(row) != width:
+            raise DataError(
+                f"{path}: row {rownum} has {len(row)} cells, expected {width}"
+            )
+        k = 0
+        for c, cell in enumerate(row):
+            if c == label_idx:
+                labels[r] = _parse_label(cell, rownum, c + 1)
+            else:
+                colname = header[c] if header else None
+                values[r, k] = _parse_cell(cell, rownum, c + 1, colname)
+                k += 1
+
+    feature_names = None
+    if header is not None:
+        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    return Dataset(values, labels, feature_names, path)

@@ -1,8 +1,11 @@
+import csv
 import re
+import sys
 
 import numpy as np
 import pytest
 
+from infinisel import dataset
 from infinisel import Dataset, DataError, fit_scaler, load_csv, load_libsvm, preprocess
 
 
@@ -57,6 +60,13 @@ class TestDatasetValidation:
         d = Dataset(np.ones((2, 2)))
         with pytest.raises(ValueError):
             d.values[0, 0] = 5.0
+
+    def test_callers_arrays_stay_writable(self):
+        v, y = np.ones((3, 2)), np.array([0, 1, 1])
+        d = Dataset(v, labels=y)
+        v[0, 0], y[0] = 2.0, 1
+        assert d.values[0, 0] == 1.0 and d.labels[0] == 0
+        assert not d.values.flags.writeable and not d.labels.flags.writeable
 
 
 class TestLoadCsv:
@@ -147,6 +157,71 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="at least 2 classes") as info:
             load_csv(p, label_column="y")
         assert str(info.value).count(p) == 1
+
+
+class TestLoadCsvBulkPass:
+    """Inputs that ``np.loadtxt`` alone would read differently from the
+    per-cell parse: each of ``load_csv``'s guards sends one of them there."""
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_control_separator_is_not_whitespace(self, tmp_path, sep):
+        p = write(tmp_path / "d.csv", f"a,b\n1,{sep}2\n")
+        # float() rejects the separator; the message shows the token stripped.
+        with pytest.raises(DataError, match=re.escape("non-numeric value '2' at row 2, column 2 (b)")):
+            load_csv(p)
+
+    def test_nul_reads_as_the_csv_module_reads_it(self, tmp_path):
+        # csv.reader rejects NUL before Python 3.11; numpy would not.
+        p = write(tmp_path / "d.csv", "a\x00,b\n1,2\n3,4\n")
+        if sys.version_info < (3, 11):
+            with pytest.raises(DataError, match="line contains NUL"):
+                load_csv(p)
+        else:
+            assert load_csv(p).feature_names == ("a\x00", "b")
+
+    def test_header_wider_than_rows(self, tmp_path):
+        p = write(tmp_path / "d.csv", "a,b,c\n1,2\n3,4\n")
+        with pytest.raises(DataError, match="row 2 has 2 cells, expected 3"):
+            load_csv(p)
+
+    def test_quoted_cells_load(self, tmp_path):
+        p = write(tmp_path / "d.csv", '"a","b"\n"1.5","2"\n3,4\n')
+        d = load_csv(p, label_column="b")
+        assert d.feature_names == ("a",) and d.labels.tolist() == [2, 4]
+        np.testing.assert_array_equal(d.values, [[1.5], [3.0]])
+
+    def test_quoted_header_over_plain_rows(self, tmp_path):
+        p = write(tmp_path / "d.csv", '"a","b"\n1.5,2\n3,4\n')
+        d = load_csv(p, label_column="b")
+        assert d.feature_names == ("a",) and d.labels.tolist() == [2, 4]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_cr_line_ends_load_as_lf(self, tmp_path, end):
+        text = "a,b,y\n1,2,0\n3,4,1\n5.5,6,1\n"
+        lf = load_csv(write(tmp_path / "lf.csv", text), label_column="y")
+        cr = load_csv(write(tmp_path / "cr.csv", text.replace("\n", end)), label_column="y")
+        assert cr.values.tobytes() == lf.values.tobytes()
+        assert cr.labels.tolist() == lf.labels.tolist() and cr.feature_names == lf.feature_names
+
+    def test_long_finite_field_hits_csv_limit(self, tmp_path):
+        field = "0" * csv.field_size_limit() + "1"
+        p = write(tmp_path / "d.csv", f"a,b\n1,{field}\n3,4\n")
+        with pytest.raises(DataError, match="unparseable CSV: field larger than field limit"):
+            load_csv(p)
+
+    def test_labels_above_2_53_stay_distinct_in_a_tall_file(self, tmp_path):
+        rows = "".join(f"{i},{i % 2}\n" for i in range(500))
+        p = write(tmp_path / "d.csv",
+                  f"x,y\n{rows}1,9007199254740993\n2,9007199254740992\n")
+        labels = load_csv(p, label_column="y").labels.tolist()
+        assert labels[-2:] == [2**53 + 1, 2**53]
+
+    def test_plain_file_is_read_in_one_pass(self, tmp_path, monkeypatch):
+        p = write(tmp_path / "d.csv", "a,y,b\n1,0,2.5\n-3e2,1,4\n")
+        monkeypatch.setattr(dataset, "_parse_cells", None)
+        d = load_csv(p, label_column="y")
+        assert d.feature_names == ("a", "b") and d.labels.tolist() == [0, 1]
+        np.testing.assert_array_equal(d.values, [[1.0, 2.5], [-300.0, 4.0]])
 
 
 class TestLoadLibsvm:
