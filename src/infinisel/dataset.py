@@ -179,9 +179,13 @@ def _is_number(token: str) -> bool:
     return True
 
 
+# U+001C–U+001F: whitespace to str.strip() and numpy, not to float().
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 def _parse_cell(token: str, row: int, col: int, colname: str | None) -> float:
-    # float() strips whitespace as str.strip() does; the location is only
-    # formatted on the error path, which keeps loading cheap.
+    # float() strips whitespace as str.strip() does, the separators apart; the
+    # location is only formatted on the error path, which keeps loading cheap.
     try:
         value = float(token)
     except ValueError:
@@ -189,12 +193,17 @@ def _parse_cell(token: str, row: int, col: int, colname: str | None) -> float:
     if value is not None and math.isfinite(value):
         return value
     where = f"row {row}, column {col}" + (f" ({colname})" if colname else "")
-    token = token.strip()
-    if not token:
+    shown = token.strip()
+    # str.strip() also removes the separators, which float() rejects: quote
+    # the raw cell then, so the message never names a token that parses.
+    lead = len(token) - len(token.lstrip())
+    if set(_SEPARATORS).intersection(token[:lead] + token[lead + len(shown):]):
+        shown = token
+    if not shown:
         raise DataError(f"empty cell at {where}")
     if value is None:
-        raise DataError(f"non-numeric value {token!r} at {where}")
-    raise DataError(f"non-finite value {token!r} at {where}")
+        raise DataError(f"non-numeric value {shown!r} at {where}")
+    raise DataError(f"non-finite value {shown!r} at {where}")
 
 
 def _parse_label(token: str, row: int, col: int) -> int:
@@ -232,7 +241,7 @@ def _header(path: str, first_row: list[str], n_rows: int,
 # csv-module syntax (quotes, CR line ends, NUL) and the separators that numpy
 # strips as whitespace but float() rejects: text holding any of these is
 # parsed cell by cell.
-_CELLWISE = ('"', "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+_CELLWISE = ('"', "\r", "\0", *_SEPARATORS)
 
 
 def _parse_plain(path: str, text: str, label_column: str | None):

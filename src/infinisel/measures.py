@@ -9,12 +9,17 @@ Each call ranks every column at most once, into one integer matrix of
 twice the centred midranks from one vectorised sort (``_midranks``, which
 also ranks AUC scores). Spearman is its Gram product, summed exactly in
 int64 and rounded once to float64; bin codes read the same midranks.
-Mutual information keeps one state per column: bin codes, bin count,
-marginal and entropy (the labels get the same state), paired by raw
-``_mi`` (nats) and ``_nmi`` (over the smaller marginal entropy, in [0, 1]).
-Blocks, scalar measures, label relevance, ``rdn`` and mRMR (which reads the
-raw MI block) all call these, so a block cell is bitwise equal to its
-scalar measure. Histogram sums use ``math.fsum``: measures are symmetric.
+Mutual information keeps one table per set of columns (the features, or
+the labels): bin codes, marginals and entropies. One kernel, ``_mi_pairs``,
+gives the raw plug-in MI (nats) of any list of column pairs, tile by tile:
+exact joint counts from one ``np.bincount``, ``math.log`` once per distinct
+ratio, and each pair's terms summed correctly rounded by ``_rounded_sums``
+(an error-free TwoSum tree whose rounding is certified, with ``math.fsum``
+for the rare row it cannot certify). ``_nmi_pairs`` divides by the smaller
+marginal entropy, into [0, 1]. Blocks, scalar measures, label relevance,
+``rdn`` and mRMR (which reads the raw MI block) all call the kernel, so a
+block cell is bitwise equal to its scalar measure, and every histogram sum
+equals ``math.fsum`` of its terms: measures are exactly symmetric.
 """
 
 from __future__ import annotations
@@ -146,53 +151,141 @@ def discretize(x: np.ndarray, ranks: np.ndarray, policy: BinningPolicy) -> tuple
     return np.clip(codes, 0, bins - 1), bins
 
 
-class _MiState(NamedTuple):  # one feature or the labels, for MI
-    codes: np.ndarray
-    bins: int
-    marginal: np.ndarray  # integer bin counts / n: exact joint-table sums
-    entropy: float
+class _MiTable(NamedTuple):  # several features, or the labels, for MI
+    codes: np.ndarray  # k × n bin codes, one row per column
+    marginals: np.ndarray  # k × width integer bin counts / n (0 past a column's bins)
+    entropy: np.ndarray  # k marginal entropies (nats)
 
 
-def _mi_state(codes: np.ndarray, bins: int) -> _MiState:
-    marginal = np.bincount(codes, minlength=bins) / codes.size
-    return _MiState(codes, bins, marginal, -math.fsum(p * math.log(p) for p in marginal if p > 0.0))
+# Budget of one kernel tile's temporaries (pair codes, counts, ratios, terms).
+# Tiles of 1 MB left the heap ~0.6 MB larger at n=500, m=60, with no speed gain.
+_TILE_BYTES = 768 << 10
+_U = 2.0**-53  # float64 unit roundoff
 
 
-def _mi_states(values: np.ndarray, policy: BinningPolicy, ranks: np.ndarray | None = None) -> list[_MiState]:
+def _logs(x: np.ndarray) -> np.ndarray:
+    # math.log once per distinct value: np.log differs from it in the last bit
+    # on some inputs, and math.log is what the plug-in definition reads.
+    distinct, inverse = np.unique(x, return_inverse=True)
+    return np.array([math.log(v) for v in distinct.tolist()])[inverse].reshape(x.shape)
+
+
+def _rounded_sums(terms: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each row of a 2-D array: ``math.fsum`` bitwise.
+
+    A pairwise tree of error-free TwoSums over a row's terms, zero-padded
+    to K + 1 (a power of two), gives ``s`` and K errors ``e`` with
+    ``s + Σe`` the row's exact sum. The errors add up in float to ``c``
+    with ``|c − Σe| < bound``, and ``r = fl(s + c)`` with rounding error
+    ``δ``. When ``|δ| + bound`` is below half the gap from ``r`` to
+    its nearer neighbour, the exact sum rounds to ``r`` (Ogita, Rump &
+    Oishi 2005). A row not so certified, or summing to zero (whose sign
+    ``math.fsum`` decides), is summed by ``math.fsum``.
+    """
+    width = 1 << (terms.shape[1] - 1).bit_length()  # zero-padded to a power of two
+    s = np.zeros((len(terms), width))
+    s[:, :terms.shape[1]] = terms
+    e = np.empty((len(terms), width - 1))  # the errors, level by level
+    while width > 1:
+        width //= 2
+        a, b = s[:, :width], s[:, width:]
+        s = a + b
+        z = s - a
+        np.add(a - (s - z), b - z, out=e[:, width - 1:2 * width - 1])
+    s = s[:, 0]
+    c = e.sum(axis=1)
+    r = s + c
+    z = r - s
+    delta = (s - (r - z)) + (c - z)
+    # 2(K+1)u·Σ|e| covers any order of the float sums of e and of |e|; the
+    # smallest subnormal covers the rounding of u·Σ|e| near underflow.
+    bound = 2.0 * (e.shape[1] + 1) * np.abs(e).sum(axis=1) * _U + 5e-324
+    half_gap = 0.5 * np.minimum(np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf))
+    for row in np.flatnonzero(~(np.abs(delta) + bound < half_gap) | (r == 0.0)):
+        r[row] = math.fsum(terms[row].tolist())
+    return r
+
+
+def _bincounts(codes: np.ndarray, bins: int) -> np.ndarray:
+    # Exact int64 counts of each row of codes in [0, bins): one np.bincount
+    # once row p is offset by p·bins, in place (codes is a scratch array).
+    rows = len(codes)
+    codes += np.arange(0, rows * bins, bins)[:, None]
+    return np.bincount(codes.ravel(), minlength=rows * bins).reshape(rows, bins)
+
+
+def _coded_table(coded: list[tuple[np.ndarray, int]]) -> _MiTable:
+    codes = np.stack([c for c, _ in coded])
+    width = max(bins for _, bins in coded)
+    marginals = _bincounts(codes.copy(), width) / codes.shape[1]
+    entropy = -_rounded_sums(marginals * _logs(np.where(marginals > 0.0, marginals, 1.0)))
+    return _MiTable(codes, marginals, entropy)
+
+
+def _mi_table(values: np.ndarray, policy: BinningPolicy, ranks: np.ndarray | None = None) -> _MiTable:
     if ranks is None:
         ranks = _midranks(values)  # unless the caller has ranked already
-    return [_mi_state(*discretize(x, r, policy)) for x, r in zip(values.T, ranks.T)]
+    return _coded_table([discretize(x, r, policy) for x, r in zip(values.T, ranks.T)])
 
 
-def _label_state(labels: np.ndarray) -> _MiState:
+def _label_table(labels: np.ndarray) -> _MiTable:
     # Labels are already discrete: each class is one bin, never re-binned.
     classes, codes = np.unique(labels, return_inverse=True)
-    return _mi_state(codes.astype(np.int64), int(classes.size))
+    return _coded_table([(codes.astype(np.int64).ravel(), int(classes.size))])
 
 
-def _mi(a: _MiState, b: _MiState) -> float:
-    """Raw plug-in MI (nats), summed over the occupied cells of the joint table."""
-    (ca, ba, pa, _), (cb, bb, pb, _) = a, b
-    counts = np.bincount(ca * bb + cb, minlength=ba * bb).reshape(ba, bb)
-    i, j = np.nonzero(counts)
-    joint = counts[i, j] / ca.size
-    ratio = joint / (pa[i] * pb[j])
-    mi = math.fsum(p * math.log(r) for p, r in zip(joint.tolist(), ratio.tolist()))
-    return max(mi, 0.0)
+def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYTES) -> np.ndarray:
+    """Raw plug-in MI (nats) of ``left`` column ``i[p]`` and ``right`` column
+    ``j[p]``, for every p.
+
+    A pair's joint table is a wl × wr slab of exact counts, wl and wr being
+    the two tables' widest bin counts. A cell's term is
+    ``joint · log(joint / (pa·pb))``, 0.0 when empty, and each pair sums its
+    terms correctly rounded, as ``math.fsum`` does. Tiles of pairs keep the
+    temporaries near ``tile_bytes``: the pair codes take two int64 arrays
+    of n a pair, the cell stages about ten of wl·wr.
+    """
+    n = left.codes.shape[1]
+    wl, wr = left.marginals.shape[1], right.marginals.shape[1]
+    cells = wl * wr
+    scaled = left.codes * wr
+    out = np.empty(len(i))
+    step = max(tile_bytes // (80 * cells), 1)
+    count_step = max(tile_bytes // (16 * n), 1)
+    for start in range(0, len(i), step):
+        ti, tj = i[start:start + step], j[start:start + step]
+        counts = []
+        for k in range(0, len(ti), count_step):
+            codes = scaled[ti[k:k + count_step]]  # joint codes a·wr + b
+            codes += right.codes[tj[k:k + count_step]]
+            counts.append(_bincounts(codes, cells))
+        counts = np.concatenate(counts).reshape(len(ti), wl, wr)
+        joint = counts / n
+        expected = left.marginals[ti][:, :, None] * right.marginals[tj][:, None, :]
+        ratio = np.divide(joint, expected, out=np.ones_like(joint), where=counts > 0)
+        out[start:start + len(ti)] = _rounded_sums((joint * _logs(ratio)).reshape(len(ti), cells))
+    return np.maximum(out, 0.0)
 
 
-def _nmi(a: _MiState, b: _MiState) -> float:
-    h = min(a.entropy, b.entropy)
-    return 0.0 if h == 0.0 else min(_mi(a, b) / h, 1.0)
+def _nmi_pairs(left: _MiTable, i, right: _MiTable, j) -> np.ndarray:
+    # MI over the smaller marginal entropy, in [0, 1]; 0 when that is 0.
+    h = np.minimum(left.entropy[i], right.entropy[j])
+    mi = _mi_pairs(left, i, right, j)
+    return np.minimum(np.divide(mi, h, out=np.zeros_like(mi), where=h != 0.0), 1.0)
 
 
-def _symmetric_block(states: list, pair) -> np.ndarray:
+def _label_pairs(pairs, table: _MiTable, labels: np.ndarray) -> np.ndarray:
+    # Raw or normalized MI of every column of the table with the labels.
+    m = len(table.codes)
+    return pairs(table, np.arange(m), _label_table(labels), np.zeros(m, dtype=np.int64))
+
+
+def _pair_block(table: _MiTable, pairs) -> np.ndarray:
     # One evaluation per pair i <= j fills both halves: exactly symmetric.
-    m = len(states)
+    m = len(table.codes)
+    i, j = np.triu_indices(m)
     block = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            block[i, j] = block[j, i] = pair(states[i], states[j])
+    block[i, j] = block[j, i] = pairs(table, i, table, j)
     return block
 
 
@@ -204,9 +297,14 @@ def _mean_redundancy(others) -> float:
     return acc / len(others) if len(others) else 0.0
 
 
+def _column_pair(pairs, x: np.ndarray, y: np.ndarray, policy: BinningPolicy) -> float:
+    table = _mi_table(_pair_columns(x, y), policy)
+    return float(pairs(table, [0], table, [1])[0])
+
+
 def mutual_information(x: np.ndarray, y: np.ndarray, policy: BinningPolicy) -> float:
     """Plug-in mutual information (nats) over the discretized joint histogram."""
-    return _mi(*_mi_states(_pair_columns(x, y), policy))
+    return _column_pair(_mi_pairs, x, y, policy)
 
 
 def normalized_mi(x: np.ndarray, y: np.ndarray, policy: BinningPolicy) -> float:
@@ -215,7 +313,7 @@ def normalized_mi(x: np.ndarray, y: np.ndarray, policy: BinningPolicy) -> float:
     Lies in [0, 1]; defined as 0 when either discretized marginal has zero
     entropy.
     """
-    return _nmi(*_mi_states(_pair_columns(x, y), policy))
+    return _column_pair(_nmi_pairs, x, y, policy)
 
 
 def rdn(dataset: Dataset, i: int, policy: BinningPolicy) -> float:
@@ -223,15 +321,16 @@ def rdn(dataset: Dataset, i: int, policy: BinningPolicy) -> float:
     m = dataset.m
     if m < 2:
         raise ValueError("redundancy is undefined for a single feature")
-    states = _mi_states(dataset.values, policy)
-    return _mean_redundancy([_nmi(states[j], states[i]) for j in range(m) if j != i])
+    table = _mi_table(dataset.values, policy)
+    others = np.delete(np.arange(m), i)
+    return _mean_redundancy(_nmi_pairs(table, others, table, np.full(m - 1, i)).tolist())
 
 
 def relevance_to_labels(dataset: Dataset, i: int, policy: BinningPolicy) -> float:
     """Normalized mutual information between feature ``i`` and the labels."""
     if dataset.labels is None:
         raise ConfigError("label relevance requires a labeled dataset")
-    return _nmi(_mi_states(dataset.values[:, [i]], policy)[0], _label_state(dataset.labels))
+    return float(_label_pairs(_nmi_pairs, _mi_table(dataset.values[:, [i]], policy), dataset.labels)[0])
 
 
 def build_measure_cache(
@@ -257,12 +356,11 @@ def build_measure_cache(
         ranks = _midranks(values)
         spearman_block = _spearman_block(ranks)
     if need_mi_matrix or need_relevance:
-        states = _mi_states(values, policy, ranks)
+        table = _mi_table(values, policy, ranks)
     if need_mi_matrix:
-        mi_block = _symmetric_block(states, _nmi)
+        mi_block = _pair_block(table, _nmi_pairs)
         rdn_block = np.array([_mean_redundancy(np.delete(r, i)) for i, r in enumerate(mi_block)])
     if need_relevance:
-        label = _label_state(dataset.labels)
-        relevance_block = np.array([_nmi(state, label) for state in states])
+        relevance_block = _label_pairs(_nmi_pairs, table, dataset.labels)
 
     return MeasureCache(std, spearman_block, mi_block, rdn_block, relevance_block)

@@ -3,8 +3,10 @@
 The difference criterion is used: each step adds the feature maximizing
 ``MI(f; Y) - mean_{s in S} MI(f; s)`` over the already-selected set ``S``.
 Mutual information here is the raw (unnormalized) plug-in estimate, with
-features discretized by the binning policy and labels used as-is; one block
-holds it for every feature pair. Ties are broken by ascending feature index.
+features discretized by the binning policy and labels used as-is. The MI
+kernel of ``measures`` gives it in two calls: the symmetric block of every
+feature pair, and the relevance of every feature to the labels. Ties are
+broken by ascending feature index.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError
-from .measures import BinningPolicy, _label_state, _mi, _mi_states, _symmetric_block
+from .measures import BinningPolicy, _label_pairs, _mi_pairs, _mi_table, _pair_block
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,9 @@ def mrmr_select(dataset: Dataset, k: int, policy: BinningPolicy) -> MrmrSelectio
     if not 1 <= k <= m:
         raise ConfigError(f"k must be in [1, {m}], got {k}")
 
-    states = _mi_states(dataset.values, policy)
-    label = _label_state(dataset.labels)
-    relevance = np.array([_mi(state, label) for state in states])
-    mi = _symmetric_block(states, _mi)  # raw MI of every pair; _mi is exactly symmetric
+    table = _mi_table(dataset.values, policy)
+    relevance = _label_pairs(_mi_pairs, table, dataset.labels)
+    mi = _pair_block(table, _mi_pairs)  # raw MI of every pair; it is exactly symmetric
 
     order: list[int] = []
     trace: list[float] = []

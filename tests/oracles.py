@@ -5,15 +5,19 @@ paths: contingency tables are built by boolean masks, Spearman midranks by
 explicit tie averaging with dot products in Python integers, and walk
 energies go through an explicit eigendecomposition plus matrix inverse, or
 through truncated path sums. CSV files are read by ``csv.reader`` and
-parsed cell by cell.
+parsed cell by cell. Mutual information also has the per-pair loop the
+vectorised kernel replaced: one ``np.bincount`` and one ``math.fsum`` per
+pair, its bitwise reference.
 """
 
 import csv
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from infinisel.dataset import Dataset, DataError, _is_number, _parse_cell, _parse_label
+from infinisel.measures import BinningPolicy, _midranks, discretize
 
 
 def plugin_mi(x_codes, y_codes):
@@ -193,3 +197,53 @@ def load_csv_reference(path, label_column=None):
     if header is not None:
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
     return Dataset(values, labels, feature_names, path)
+
+
+class _MiState(NamedTuple):  # one feature or the labels, for MI
+    codes: np.ndarray
+    bins: int
+    marginal: np.ndarray  # integer bin counts / n: exact joint-table sums
+    entropy: float
+
+
+def _mi_state(codes: np.ndarray, bins: int) -> _MiState:
+    marginal = np.bincount(codes, minlength=bins) / codes.size
+    return _MiState(codes, bins, marginal, -math.fsum(p * math.log(p) for p in marginal if p > 0.0))
+
+
+def _mi_states(values: np.ndarray, policy: BinningPolicy, ranks: np.ndarray | None = None) -> list[_MiState]:
+    if ranks is None:
+        ranks = _midranks(values)  # unless the caller has ranked already
+    return [_mi_state(*discretize(x, r, policy)) for x, r in zip(values.T, ranks.T)]
+
+
+def _label_state(labels: np.ndarray) -> _MiState:
+    # Labels are already discrete: each class is one bin, never re-binned.
+    classes, codes = np.unique(labels, return_inverse=True)
+    return _mi_state(codes.astype(np.int64), int(classes.size))
+
+
+def _mi(a: _MiState, b: _MiState) -> float:
+    """Raw plug-in MI (nats), summed over the occupied cells of the joint table."""
+    (ca, ba, pa, _), (cb, bb, pb, _) = a, b
+    counts = np.bincount(ca * bb + cb, minlength=ba * bb).reshape(ba, bb)
+    i, j = np.nonzero(counts)
+    joint = counts[i, j] / ca.size
+    ratio = joint / (pa[i] * pb[j])
+    mi = math.fsum(p * math.log(r) for p, r in zip(joint.tolist(), ratio.tolist()))
+    return max(mi, 0.0)
+
+
+def _nmi(a: _MiState, b: _MiState) -> float:
+    h = min(a.entropy, b.entropy)
+    return 0.0 if h == 0.0 else min(_mi(a, b) / h, 1.0)
+
+
+def _symmetric_block(states: list, pair) -> np.ndarray:
+    # One evaluation per pair i <= j fills both halves: exactly symmetric.
+    m = len(states)
+    block = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            block[i, j] = block[j, i] = pair(states[i], states[j])
+    return block

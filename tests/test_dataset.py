@@ -166,8 +166,23 @@ class TestLoadCsvBulkPass:
     @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_control_separator_is_not_whitespace(self, tmp_path, sep):
         p = write(tmp_path / "d.csv", f"a,b\n1,{sep}2\n")
-        # float() rejects the separator; the message shows the token stripped.
-        with pytest.raises(DataError, match=re.escape("non-numeric value '2' at row 2, column 2 (b)")):
+        # float() rejects the separator, which str.strip() would remove: the
+        # message quotes the raw cell, never a token that parses.
+        with pytest.raises(DataError, match=re.escape(f"non-numeric value {sep + '2'!r} at row 2, column 2 (b)")):
+            load_csv(p)
+
+    @pytest.mark.parametrize("cell, message", [
+        (" \x1c2", "non-numeric value ' \\x1c2'"),  # strip() would drop both
+        ("2\x1d ", "non-numeric value '2\\x1d '"),
+        ("\x1e", "non-numeric value '\\x1e'"),  # not an empty cell
+        ("1\x1f2 ", "non-numeric value '1\\x1f2'"),  # kept inside: padding goes
+        ("  oops ", "non-numeric value 'oops'"),
+        (" nan ", "non-finite value 'nan'"),
+        ("\t ", "empty cell"),
+    ])
+    def test_error_quotes_raw_cell_when_strip_drops_a_separator(self, tmp_path, cell, message):
+        p = write(tmp_path / "d.csv", f"a,b\n1,{cell}\n")
+        with pytest.raises(DataError, match=re.escape(f"{message} at row 2, column 2 (b)")):
             load_csv(p)
 
     def test_nul_reads_as_the_csv_module_reads_it(self, tmp_path):

@@ -1,0 +1,111 @@
+"""The vectorised mutual-information kernel against the per-pair loop it
+replaced (``oracles._mi``, ``_nmi`` and ``_symmetric_block``), bitwise, and
+its correctly rounded row sum against ``math.fsum``."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from infinisel import BinningPolicy, Dataset, build_measure_cache
+from infinisel.measures import _label_pairs, _label_table, _mi_pairs, _mi_table, _nmi_pairs, _pair_block, _rounded_sums
+
+# Mantissa · 2^e from the smallest subnormal to about ±1e300.
+WIDE = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 996))
+PLAIN = st.one_of(WIDE, st.integers(-4, 4).map(float), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+@st.composite
+def rows(draw):
+    """Rows of one length: cancelling pairs (x, −x), exact halfway ties
+    (x, ½·ulp(x)), wide exponents, subnormals and all-zero rows."""
+    length = draw(st.integers(1, 33))
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["plain", "cancel", "tie", "zero"]))
+        if kind == "zero":
+            row = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=length, max_size=length))
+        else:
+            row = draw(st.lists(PLAIN, min_size=length, max_size=length))
+            for k in range(0, length - 1, 2):
+                if kind == "cancel":
+                    row[k + 1] = -row[k]
+                elif kind == "tie":
+                    row[k + 1] = math.copysign(math.ulp(row[k]) / 2, draw(st.sampled_from([1.0, -1.0])))
+        out.append(draw(st.permutations(row)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows())
+def test_rounded_sums_equal_fsum_bitwise(batch):
+    expected = np.array([math.fsum(row) for row in batch])
+    assert _rounded_sums(np.array(batch)).tobytes() == expected.tobytes()
+
+
+def test_halfway_tie_takes_the_fsum_fallback(monkeypatch):
+    # 1 + 2⁻⁵³ lies halfway between 1 and its successor: no float estimate
+    # can certify the rounding, so that row, and only it, goes to fsum.
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(list(terms)) or fsum(calls[-1]))
+    got = _rounded_sums(np.array([[1.0, 2.0**-53], [1.0, 2.0]]))
+    assert got.tolist() == [1.0, 3.0]
+    assert calls == [[1.0, 2.0**-53]]
+
+
+def column(rng, n, kind):
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "ties":
+        return np.round(rng.normal(size=n), 1)
+    if kind == "categorical":  # 1–8 levels: unequal bin counts, empty joint cells
+        levels = rng.normal(size=int(rng.integers(1, 9)))
+        return levels[rng.integers(0, levels.size, n)]
+    if kind == "constant":
+        return np.full(n, 2.5)
+    return np.where(rng.random(n) < 0.9, 0.0, rng.normal(size=n))  # mostly zero
+
+
+KINDS = ("normal", "ties", "categorical", "constant", "sparse")
+POLICIES = [BinningPolicy(kind, bins) for kind in ("equal_frequency", "equal_width") for bins in (2, 3, 10)]
+
+
+def assert_kernel_matches_loop(values, labels, policy):
+    table, states = _mi_table(values, policy), oracles._mi_states(values, policy)
+    assert table.entropy.tobytes() == np.array([s.entropy for s in states]).tobytes()
+    label_state = oracles._label_state(labels)
+    for pairs, pair in ((_mi_pairs, oracles._mi), (_nmi_pairs, oracles._nmi)):
+        assert _pair_block(table, pairs).tobytes() == oracles._symmetric_block(states, pair).tobytes()
+        got = _label_pairs(pairs, table, labels)
+        assert got.tobytes() == np.array([pair(s, label_state) for s in states]).tobytes()
+    cache = build_measure_cache(Dataset(values, labels=labels), policy, need_mi_matrix=True, need_relevance=True)
+    assert cache.mi.tobytes() == oracles._symmetric_block(states, oracles._nmi).tobytes()
+    assert cache.relevance.tobytes() == np.array([oracles._nmi(s, label_state) for s in states]).tobytes()
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: f"{p.kind}-{p.bin_count}")
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 300])
+def test_kernel_matches_per_pair_loop_bitwise(policy, n):
+    rng = np.random.default_rng(1000 * n + policy.bin_count + len(policy.kind))
+    for _ in range(4):
+        values = np.column_stack([column(rng, n, kind) for kind in rng.choice(KINDS, 7)])
+        # More classes than bins: the label table is wider than the features'.
+        labels = rng.integers(0, int(rng.choice([2, 3, 13, 25])), n)
+        labels[:2] = [0, 1]
+        assert_kernel_matches_loop(values, labels, policy)
+
+
+def test_one_pair_per_tile_gives_the_bytes_of_one_tile():
+    rng = np.random.default_rng(7)
+    values = np.column_stack([column(rng, 500, kind) for kind in KINDS * 3])
+    table, label = _mi_table(values, BinningPolicy()), _label_table(rng.integers(0, 4, 500))
+    i, j = np.triu_indices(values.shape[1])
+    cases = (table, i, table, j), (table, np.arange(15), label, np.zeros(15, dtype=np.int64))
+    for left, a, right, b in cases:
+        single = _mi_pairs(left, a, right, b, tile_bytes=1)
+        assert single.tobytes() == _mi_pairs(left, a, right, b, tile_bytes=2**40).tobytes()
+        assert single.tobytes() == _mi_pairs(left, a, right, b).tobytes()
