@@ -183,6 +183,17 @@ def _is_number(token: str) -> bool:
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
+def _shown(token: str) -> str:
+    # The cell as an error quotes it. str.strip() also removes the separators,
+    # which float() and int() reject: quote the raw cell then, so a message
+    # never names a token that parses.
+    shown = token.strip()
+    lead = len(token) - len(token.lstrip())
+    if set(_SEPARATORS).intersection(token[:lead] + token[lead + len(shown):]):
+        return token
+    return shown
+
+
 def _parse_cell(token: str, row: int, col: int, colname: str | None) -> float:
     # float() strips whitespace as str.strip() does, the separators apart; the
     # location is only formatted on the error path, which keeps loading cheap.
@@ -193,12 +204,7 @@ def _parse_cell(token: str, row: int, col: int, colname: str | None) -> float:
     if value is not None and math.isfinite(value):
         return value
     where = f"row {row}, column {col}" + (f" ({colname})" if colname else "")
-    shown = token.strip()
-    # str.strip() also removes the separators, which float() rejects: quote
-    # the raw cell then, so the message never names a token that parses.
-    lead = len(token) - len(token.lstrip())
-    if set(_SEPARATORS).intersection(token[:lead] + token[lead + len(shown):]):
-        shown = token
+    shown = _shown(token)
     if not shown:
         raise DataError(f"empty cell at {where}")
     if value is None:
@@ -207,18 +213,19 @@ def _parse_cell(token: str, row: int, col: int, colname: str | None) -> float:
 
 
 def _parse_label(token: str, row: int, col: int) -> int:
-    # int() first: float() would merge distinct labels above 2**53.
-    token = token.strip()
+    # int() first: float() would merge distinct labels above 2**53. Both strip
+    # whitespace as str.strip() does, apart from the separators: they reject
+    # those, so a label cell parses exactly when a feature cell would.
     where = f"row {row}, column {col}"
     try:
         value = int(token)
     except ValueError:
         real = float(token) if _is_number(token) else math.nan
         if not real.is_integer():
-            raise DataError(f"non-integer label {token!r} at {where}") from None
+            raise DataError(f"non-integer label {_shown(token)!r} at {where}") from None
         value = int(real)
     if not -(2**63) <= value < 2**63:
-        raise DataError(f"label {token!r} at {where} is outside the 64-bit integer range")
+        raise DataError(f"label {_shown(token)!r} at {where} is outside the 64-bit integer range")
     return value
 
 

@@ -10,6 +10,11 @@ one holdout function, ``_holdout``: it fits preprocessing statistics on
 the training rows only, applies them unchanged to the held-out rows,
 ranks, and fits each distinct (scheme, top-N columns, cost) classifier
 once. So the test split can never influence the selection stage.
+
+The classifier fits of a holdout run together: ``_train_linear_batch``
+steps every fit of one column count in lockstep, one set of numpy calls
+per round, and each fit's result is bitwise what ``train_linear`` gives
+for it alone.
 """
 
 from __future__ import annotations
@@ -52,6 +57,19 @@ class LinearClassifier:
         return np.where(self.decision_function(x) >= 0.0, self.classes[1], self.classes[0])
 
 
+def _check_binary(x, y, cost):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError(f"shape mismatch: x {x.shape} vs y {y.shape}")
+    classes = np.unique(y)
+    if classes.size != 2:
+        raise ValueError(f"binary training needs exactly 2 classes, got {classes.size}")
+    if cost <= 0:
+        raise ValueError(f"cost must be positive, got {cost}")
+    return x, y, classes
+
+
 def train_linear(
     x: np.ndarray, y: np.ndarray, cost: float, epochs: int = DEFAULT_EPOCHS
 ) -> LinearClassifier:
@@ -62,48 +80,100 @@ def train_linear(
     Step sizes backtrack until the objective decreases, so the recorded
     training loss never increases. Deterministic for fixed inputs.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError(f"shape mismatch: x {x.shape} vs y {y.shape}")
-    classes = np.unique(y)
-    if classes.size != 2:
-        raise ValueError(f"binary training needs exactly 2 classes, got {classes.size}")
-    if cost <= 0:
-        raise ValueError(f"cost must be positive, got {cost}")
+    x, y, classes = _check_binary(x, y, cost)
+    targets = np.where(y == classes[1], 1.0, -1.0)
+    [(w, b, history)] = _train_linear_batch(
+        np.ascontiguousarray(x)[None], targets[None], [cost], epochs
+    )
+    return LinearClassifier(w, b, classes, history)
 
-    t = np.where(y == classes[1], 1.0, -1.0)
-    n, k = x.shape
-    lam = 1.0 / cost
+
+# Bytes of stacked matrices and round temporaries one lockstep batch may hold.
+BATCH_BYTES = 2 * 1024 * 1024
+
+
+def _batch_bytes(n, k):
+    """What one n x k problem adds to a batch: its matrix in the stack and
+    its rows of the float arrays a round holds at once, at most six of
+    length n and eight of length k. Its objective history is its output."""
+    return 8 * (n * (k + 6) + 8 * k)
+
+
+def _train_linear_batch(xs, targets, costs, epochs):
+    """``train_linear``'s loop for a stack of same-shape problems, in lockstep.
+
+    ``xs`` is a C-contiguous (p, n, k) stack, ``targets`` (p, n) of +-1 and
+    ``costs`` (p,). Each round makes one trial step for every live problem
+    with one set of numpy calls. ``np.matmul`` on stacked operands makes,
+    per problem, the same BLAS gemv or dot call as the one-problem ``x @ w``,
+    and ``np.add.reduce(..., axis=1)`` the same pairwise sum per row. Every
+    problem keeps its own step, epoch count, history and stop rule (the
+    epoch cap, a zero gradient, or no accepted step), so each result is
+    bitwise the one the problem gets alone. Finished problems stay in the
+    stack, frozen, until at most half of it is live; then the live rows
+    move to the front of ``xs``, so the caller must not reuse it.
+    Returns ``(weights, bias, objective history)`` per problem.
+    """
+    p, n, k = xs.shape
+    t = np.asarray(targets, dtype=np.float64)
+    lam = 1.0 / np.asarray(costs, dtype=np.float64)
 
     def objective(w, b):
-        margins = t * (x @ w + b)
-        return 0.5 * lam * float(w @ w) + float(np.maximum(0.0, 1.0 - margins).sum()) / n, margins
+        margins = np.matmul(xs, w[:, :, None])[:, :, 0]
+        margins += b[:, None]
+        margins *= t
+        hinge = 1.0 - margins
+        np.maximum(0.0, hinge, out=hinge)
+        penalty = 0.5 * lam * np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
+        return penalty + np.add.reduce(hinge, axis=1) / n, margins
 
-    w = np.zeros(k)
-    b = 0.0
+    def gradient(w, margins):  # at (w, b), from the margins of its objective call
+        active = t * (margins < 1.0)
+        gw = lam[:, None] * w - np.matmul(active[:, None, :], xs)[:, 0, :] / n
+        gb = -np.add.reduce(active, axis=1) / n
+        return gw, gb, np.matmul(gw[:, None, :], gw[:, :, None])[:, 0, 0] + gb * gb
+
+    row = np.arange(p)  # the problem in each stack row
+    w, b = np.zeros((p, k)), np.zeros(p)
     obj, margins = objective(w, b)
-    history = [obj]
-    step = 1.0
-    for _ in range(epochs):
-        active = t * (margins < 1.0)  # margins of the current (w, b), from its objective call
-        gw = lam * w - (active @ x) / n
-        gb = -float(active.sum()) / n
-        if float(gw @ gw) + gb * gb <= 1e-24:
-            break
-        step = min(step * 2.0, 1e6)
-        while step > 1e-18:
-            w_new = w - step * gw
-            b_new = b - step * gb
-            obj_new, margins_new = objective(w_new, b_new)
-            if obj_new < obj:
-                w, b, obj, margins = w_new, b_new, obj_new, margins_new
-                break
-            step *= 0.5
-        else:
-            break
-        history.append(obj)
-    return LinearClassifier(w, float(b), classes, tuple(history))
+    histories = [[value] for value in obj.tolist()]
+    done = np.zeros(p, dtype=np.intp)  # accepted epochs
+    step = np.full(p, 2.0)  # the first epoch doubles the unit step
+    gw, gb, norm2 = gradient(w, margins)
+    live = ~(norm2 <= 1e-24) & (epochs > 0)
+    weights, biases = np.empty((p, k)), np.empty(p)
+    while live.any():
+        if 2 * np.count_nonzero(live) <= live.size:
+            weights[row[~live]], biases[row[~live]] = w[~live], b[~live]
+            keep = np.flatnonzero(live)
+            for dst, src in enumerate(keep.tolist()):
+                if dst != src:
+                    xs[dst] = xs[src]
+            xs = xs[: keep.size]
+            t, lam, row, w, b, obj, done, step, gw, gb, live = (
+                a[keep] for a in (t, lam, row, w, b, obj, done, step, gw, gb, live)
+            )
+        w_new, b_new = w - step[:, None] * gw, b - step * gb
+        obj_new, margins = objective(w_new, b_new)
+        accepted = live & (obj_new < obj)
+        rejected = live & ~accepted
+        w = np.where(accepted[:, None], w_new, w)
+        b = np.where(accepted, b_new, b)
+        obj = np.where(accepted, obj_new, obj)
+        done += accepted
+        for i, value in zip(row[accepted].tolist(), obj_new[accepted].tolist()):
+            histories[i].append(value)
+        step = np.where(rejected, step * 0.5, step)
+        live &= ~(rejected & (step <= 1e-18)) & (done < epochs)
+        moved = accepted & live
+        if moved.any():
+            gw_new, gb_new, norm2 = gradient(w, margins)
+            gw = np.where(moved[:, None], gw_new, gw)
+            gb = np.where(moved, gb_new, gb)
+            step = np.where(moved, np.minimum(step * 2.0, 1e6), step)
+            live &= ~(moved & (norm2 <= 1e-24))
+    weights[row], biases[row] = w, b
+    return [(weights[i], float(biases[i]), tuple(histories[i])) for i in range(p)]
 
 
 @dataclass(frozen=True)
@@ -118,13 +188,53 @@ class _OneVsRest:
 
 def fit_classifier(x, y, cost):
     """Binary classifier, or a one-vs-rest reduction for more classes."""
+    y = np.asarray(y)
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("training data contains a single class")
+    x, _, _ = _check_binary(x, y == classes[-1], cost)  # what each one-vs-rest fit checks
+    [model] = _fit_classifiers([(x, np.arange(x.shape[1]), cost)], y)
+    return model
+
+
+def _fit_classifiers(problems, y, epochs=DEFAULT_EPOCHS):
+    """``fit_classifier`` for each ``(values, cols, cost)`` problem, trained on
+    the columns ``cols`` of ``values`` with the labels ``y``.
+
+    All binary fits (one per class of a one-vs-rest problem) of one column
+    count run through ``_train_linear_batch`` together, in as few equal
+    chunks as keep each chunk's ``_batch_bytes`` within ``BATCH_BYTES``. A
+    fit larger than that runs alone, on the one matrix a lone fit copies.
+    """
+    classes = np.unique(y)
+    if classes.size < 2:
+        raise ValueError("training data contains a single class")
+    for _, _, cost in problems:
+        if cost <= 0:
+            raise ValueError(f"cost must be positive, got {cost}")
+    positives = classes[1:] if classes.size == 2 else classes
+    fits = [(values, cols, y == c, cost) for values, cols, cost in problems for c in positives]
+    results = [None] * len(fits)
+    by_k = {}
+    for i, (_, cols, _, _) in enumerate(fits):
+        by_k.setdefault(len(cols), []).append(i)
+    for k, group in by_k.items():
+        per_chunk = max(1, BATCH_BYTES // _batch_bytes(y.size, k))
+        for chunk in np.array_split(group, -(-len(group) // per_chunk)):
+            chunk = chunk.tolist()
+            xs = np.empty((len(chunk), y.size, k))
+            for slot, i in enumerate(chunk):
+                values, cols = fits[i][:2]
+                xs[slot] = values[:, cols]
+            targets = np.where([fits[i][2] for i in chunk], 1.0, -1.0)
+            batch = _train_linear_batch(xs, targets, [fits[i][3] for i in chunk], epochs)
+            for i, result in zip(chunk, batch):
+                results[i] = result
     if classes.size == 2:
-        return train_linear(x, y, cost)
-    models = tuple(train_linear(x, np.where(y == c, 1, 0), cost) for c in classes)
-    return _OneVsRest(models, classes)
+        return [LinearClassifier(w, b, classes, history) for w, b, history in results]
+    models = [LinearClassifier(w, b, np.array([0, 1]), history) for w, b, history in results]
+    c = classes.size
+    return [_OneVsRest(tuple(models[j : j + c]), classes) for j in range(0, len(models), c)]
 
 
 def binary_auc(scores: np.ndarray, labels: np.ndarray, positive) -> float:
@@ -195,26 +305,27 @@ def _holdout(train: Dataset, test: Dataset, grid, n_eval):
         group = [config for config in configs if config.resolved_preprocessing == scheme]
         rankings.update(rank_scaled(scaled_train, group))
 
-    fits, results = {}, []
+    # Each distinct (scheme, ordered top-N columns, cost), in first-use order.
+    keys, entries = {}, []
     for config, cost in grid:
         scheme = config.resolved_preprocessing
-        train_values, test_values = scaled[scheme]
         order = rankings[config][0]
-        per_n = []
+        entry = []
         for n in n_eval:
-            cols = order[:n]
-            key = (scheme, tuple(cols.tolist()), cost)
-            if key not in fits:
-                model = fit_classifier(train_values[:, cols], train.labels, cost)
-                test_x = test_values[:, cols]
-                acc = float(np.mean(model.predict(test_x) == test.labels))
-                auc = None
-                if isinstance(model, LinearClassifier):
-                    auc = binary_auc(model.decision_function(test_x), test.labels, model.classes[1])
-                fits[key] = (acc, auc)
-            per_n.append(fits[key])
-        results.append(per_n)
-    return results, rankings
+            key = (scheme, tuple(order[:n].tolist()), cost)
+            keys.setdefault(key, order[:n])
+            entry.append(key)
+        entries.append(entry)
+    problems = [(scaled[scheme][0], cols, cost) for (scheme, _, cost), cols in keys.items()]
+    scored = {}
+    for (key, cols), model in zip(keys.items(), _fit_classifiers(problems, train.labels)):
+        test_x = scaled[key[0]][1][:, cols]
+        acc = float(np.mean(model.predict(test_x) == test.labels))
+        auc = None
+        if isinstance(model, LinearClassifier):
+            auc = binary_auc(model.decision_function(test_x), test.labels, model.classes[1])
+        scored[key] = (acc, auc)
+    return [[scored[key] for key in entry] for entry in entries], rankings
 
 
 def _best(grid, scores):

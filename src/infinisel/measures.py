@@ -82,17 +82,27 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     # 2·midrank − (n + 1) per column: twice the centred midranks, integers.
     # One sort per column; a tie run at sorted positions [s, e) has midrank
     # (s + 1 + e) / 2, so its cells get s + e − n. −0.0 and 0.0 tie.
+    # Each m x n temporary is freed or reused once spent: at most three of
+    # them (8 bytes a cell) and one boolean mask live at once.
     rows = np.ascontiguousarray(values.T)
     m, n = rows.shape
     order = np.argsort(rows, axis=1)
     ordered = np.take_along_axis(rows, order, axis=1)
+    del rows
     edge = np.ones((m, n + 1), dtype=bool)  # a run starts at k; k = n ends the last
-    edge[:, 1:n] = ordered[:, 1:] != ordered[:, :-1]
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=edge[:, 1:n])
+    del ordered
     k = np.arange(n + 1, dtype=np.int64)
-    starts = np.maximum.accumulate(np.where(edge, k, 0), axis=1)[:, :n]
-    ends = np.minimum.accumulate(np.where(edge, k, n)[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    starts = np.where(edge, k, 0)
+    np.maximum.accumulate(starts, axis=1, out=starts)
+    ends = np.where(edge, k, n)[:, ::-1]
+    np.minimum.accumulate(ends, axis=1, out=ends)
+    sorted_ranks = starts[:, :n]
+    sorted_ranks += ends[:, ::-1][:, 1:]
+    sorted_ranks -= n
+    del ends
     ranks = np.empty((m, n), dtype=np.int64)
-    np.put_along_axis(ranks, order, starts + ends - n, axis=1)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
     return ranks.T
 
 

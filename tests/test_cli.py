@@ -141,6 +141,13 @@ class TestRankCommand:
         err = capsys.readouterr().err
         assert "row 3, column 2" in err and "Traceback" not in err
 
+    def test_separator_in_label_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b,y\n1,5,\x1c2\n2,3,0\n3,8,1\n")
+        assert main(["rank", str(bad), "--label-column", "y"]) == 2
+        err = capsys.readouterr().err
+        assert "'\\x1c2' at row 2, column 3" in err and "Traceback" not in err
+
     def test_libsvm_input(self, tmp_path):
         p = tmp_path / "d.svm"
         p.write_text("1 1:0.5 2:1.0\n0 1:1.5 2:0.2\n1 1:0.1 2:1.1\n0 2:0.3\n")

@@ -185,6 +185,14 @@ class TestLoadCsvBulkPass:
         with pytest.raises(DataError, match=re.escape(f"{message} at row 2, column 2 (b)")):
             load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["\x1c2", "2\x1f", " \x1d2 ", "\x1e1.0"])
+    def test_control_separator_at_label_edge_rejected(self, tmp_path, cell):
+        # int() rejects the separator as float() does, so a label cell that
+        # would be a DataError as a feature is one as a label too.
+        p = write(tmp_path / "d.csv", f"a,y\n1,{cell}\n2,0\n")
+        with pytest.raises(DataError, match=re.escape(f"non-integer label {cell!r} at row 2, column 2")):
+            load_csv(p, label_column="y")
+
     def test_nul_reads_as_the_csv_module_reads_it(self, tmp_path):
         # csv.reader rejects NUL before Python 3.11; numpy would not.
         p = write(tmp_path / "d.csv", "a\x00,b\n1,2\n3,4\n")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from infinisel import (
     train_linear,
 )
 from infinisel import evaluation
+from infinisel.config import COST_GRID
 from infinisel.evaluation import fit_classifier
 from oracles import auc_pairs, train_linear_reference
 
@@ -107,6 +109,38 @@ def trainer_problem(seed):
     return x, y, cost, epochs
 
 
+def trainer_batch(n, k):
+    """Every ``trainer_problem`` with at least n rows and k columns, cut to
+    its first n rows and k columns: one stack of mixed kinds and costs.
+    The cut keeps both labels, which the first two rows carry."""
+    xs, ys, costs = [], [], []
+    for seed in range(240):
+        x, y, cost, _ = trainer_problem(seed)
+        if x.shape[0] >= n and x.shape[1] >= k:
+            xs.append(x[:n, :k])
+            ys.append(y[:n])
+            costs.append(cost)
+    return np.stack(xs), np.stack(ys), costs
+
+
+def matches_reference(result, x, y, cost, epochs):
+    """Asserts that a kernel result equals the reference loop's bitwise;
+    returns why the reference loop stopped."""
+    w, b, history = result
+    weights, bias, expected, stop = train_linear_reference(x, y, cost, epochs)
+    assert w.tobytes() == weights.tobytes()
+    assert b.hex() == bias.hex()
+    assert [h.hex() for h in history] == [h.hex() for h in expected]
+    return stop
+
+
+def assert_same_classifier(model, expected):
+    assert model.weights.tobytes() == expected.weights.tobytes()
+    assert model.bias.hex() == expected.bias.hex()
+    assert [h.hex() for h in model.objective_history] == [h.hex() for h in expected.objective_history]
+    assert model.classes.tobytes() == expected.classes.tobytes()
+
+
 class TestTrainLinearExactness:
     def test_bitwise_equal_to_reference_loop(self):
         stops = set()
@@ -121,6 +155,103 @@ class TestTrainLinearExactness:
         # Every way out of the loop is exercised: the cap (at 1 epoch too),
         # the gradient-norm test and a backtracking search with no accepted step.
         assert {("cap", 1), ("cap", 200), ("gradient", 200), ("no step", 200)} <= stops
+
+    @pytest.mark.parametrize("n, k, epochs", [
+        (20, 3, 200), (40, 5, 200), (10, 1, 200), (20, 3, 5), (20, 3, 1),
+    ])
+    def test_batch_bitwise_equal_to_reference_loop(self, n, k, epochs):
+        xs, ys, costs = trainer_batch(n, k)
+        targets = np.where(ys == 1, 1.0, -1.0)
+        results = evaluation._train_linear_batch(xs.copy(), targets, costs, epochs)
+        stops = {matches_reference(*args, epochs) for args in zip(results, xs, ys, costs)}
+        # One stack mixes every way out of the loop its epoch cap allows.
+        assert stops == ({"cap", "gradient", "no step"} if epochs == 200 else {"cap", "gradient"})
+
+    def test_batch_bitwise_equal_on_matrices_blas_may_thread(self):
+        # 400 x 30 matrices are large enough for OpenBLAS to split a gemv
+        # across threads; the stacked call must split as the 1-D call does.
+        rng = np.random.default_rng(93)
+        xs = rng.normal(size=(4, 400, 30))
+        xs[3] = np.round(xs[3])
+        ys = (xs[:, :, 0] + rng.normal(size=(4, 400)) > 0).astype(np.int64)
+        costs = [0.01, 1.0, 100.0, 1.0]
+        results = evaluation._train_linear_batch(xs.copy(), np.where(ys == 1, 1.0, -1.0), costs, 50)
+        for args in zip(results, xs, ys, costs):
+            matches_reference(*args, 50)
+
+    def test_one_vs_rest_batch_equals_per_class_train_linear(self):
+        rng = np.random.default_rng(90)
+        values = rng.normal(size=(60, 8))
+        y = rng.integers(0, 3, 60) * 4 + 1  # class ids 1, 5 and 9
+        values[:, 0] += y / 4.0
+        problems = [(values, np.array(cols), cost) for cols, cost in [
+            ([0, 1, 2], 0.1), ([3, 0, 5], 10.0), ([0, 1, 2], 100.0), ([7], 1.0), ([2, 4], 1.0),
+        ]]
+        models = evaluation._fit_classifiers(problems, y)
+        for (_, cols, cost), model in zip(problems, models):
+            assert model.classes.tolist() == [1, 5, 9] and len(model.models) == 3
+            for c, binary in zip(model.classes, model.models):
+                assert_same_classifier(binary, train_linear(values[:, cols], np.where(y == c, 1, 0), cost))
+
+    def test_one_problem_chunks_give_the_same_bytes(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        values = rng.normal(size=(50, 6))
+        y = (values[:, 0] + rng.normal(size=50) > 0).astype(np.int64)
+        problems = [(values, rng.permutation(6)[:k], cost) for k in (2, 4) for cost in COST_GRID]
+        sizes = []
+        kernel = evaluation._train_linear_batch
+
+        def sizing_kernel(xs, targets, costs, epochs):
+            sizes.append(len(xs))
+            return kernel(xs, targets, costs, epochs)
+
+        monkeypatch.setattr(evaluation, "_train_linear_batch", sizing_kernel)
+        together = evaluation._fit_classifiers(problems, y)
+        assert sizes == [5, 5]  # one chunk per column count
+        sizes.clear()
+        monkeypatch.setattr(evaluation, "BATCH_BYTES", 1)
+        alone = evaluation._fit_classifiers(problems, y)
+        assert sizes == [1] * 10
+        for a, b in zip(together, alone):
+            assert_same_classifier(a, b)
+
+    @pytest.mark.parametrize("n, k, count", [(30, 1, 40), (30, 7, 9), (200, 3, 5), (7, 2, 100)])
+    def test_chunks_stay_within_the_budget(self, monkeypatch, n, k, count):
+        budget = 3 * evaluation._batch_bytes(30, 7)
+        shapes = []
+        kernel = evaluation._train_linear_batch
+
+        def sizing_kernel(xs, targets, costs, epochs):
+            shapes.append(xs.shape)
+            return kernel(xs, targets, costs, epochs)
+
+        monkeypatch.setattr(evaluation, "_train_linear_batch", sizing_kernel)
+        monkeypatch.setattr(evaluation, "BATCH_BYTES", budget)
+        rng = np.random.default_rng(92)
+        values = rng.normal(size=(n, k))
+        y = np.arange(n) % 2
+        evaluation._fit_classifiers([(values, np.arange(k), 1.0)] * count, y, epochs=2)
+        assert sum(p for p, _, _ in shapes) == count
+        per_chunk = max(1, budget // evaluation._batch_bytes(n, k))
+        assert len(shapes) == -(-count // per_chunk)  # no more chunks than the budget needs
+        for p, rows, cols in shapes:
+            assert (rows, cols) == (n, k)
+            assert p == 1 or p * evaluation._batch_bytes(n, k) <= budget
+
+    def test_round_temporaries_fit_the_batch_bytes(self):
+        # Beyond the caller's stack and the results it returns, a round holds
+        # at most the rest of _batch_bytes per problem.
+        xs, ys, costs = trainer_batch(40, 5)
+        targets = np.where(ys == 1, 1.0, -1.0)
+        tracemalloc.start()
+        try:
+            results = evaluation._train_linear_batch(xs, targets, costs, 200)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        p, n, k = xs.shape
+        assert len(results) == p
+        assert peak - current <= p * (evaluation._batch_bytes(n, k) - 8 * n * k)
 
 
 class TestBinaryAuc:
@@ -422,12 +553,14 @@ class TestCrossValidate:
         # must not refit a classifier: one fit per distinct training matrix
         # (fold rows, ordered columns) and cost.
         fits = []
+        kernel = evaluation._train_linear_batch
 
-        def counting_train_linear(x, y, cost, epochs=evaluation.DEFAULT_EPOCHS):
-            fits.append((x.tobytes(), x.shape, y.tobytes(), cost))
-            return train_linear(x, y, cost, epochs)
+        def counting_kernel(xs, targets, costs, epochs):
+            for x, y, cost in zip(xs, targets, costs):
+                fits.append((x.tobytes(), x.shape, y.tobytes(), cost))
+            return kernel(xs, targets, costs, epochs)
 
-        monkeypatch.setattr(evaluation, "train_linear", counting_train_linear)
+        monkeypatch.setattr(evaluation, "_train_linear_batch", counting_kernel)
         rng = np.random.default_rng(85)
         d = labeled_dataset(rng, 40, 5, perfect_first=True)
         config = SelectorConfig(variant="sifs", alpha=0.5)

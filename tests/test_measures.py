@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,3 +405,19 @@ class TestMidranks:
         assert ranks.dtype == np.int64 and ranks.shape == values.shape and ranks.flags.f_contiguous
         for i in range(values.shape[1]):
             assert ranks[:, i].tolist() == _twice_centred_midranks(values[:, i])
+
+    def test_peak_memory_at_5000_by_400(self):
+        # The sort needs the transposed copy, the order and the sorted values;
+        # later steps reuse or free them. Four result-sized arrays bound the
+        # peak (three are live at most); holding every temporary took seven.
+        rng = np.random.default_rng(510)
+        values = rng.normal(size=(5000, 400))
+        values[:, :100] = np.round(values[:, :100])  # tie runs too
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ranks = _midranks(values)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * ranks.nbytes
