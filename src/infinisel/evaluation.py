@@ -432,6 +432,13 @@ def _evaluate(
         raise ConfigError(
             f"train and test have different feature counts ({d_train.m} vs {d_test.m})"
         )
+    if d_train.feature_names is not None and d_test.feature_names is not None:
+        # Features are matched by position, so named columns must line up.
+        for k, (a, b) in enumerate(zip(d_train.feature_names, d_test.feature_names)):
+            if a != b:
+                raise ConfigError(
+                    f"train and test feature names differ: feature {k} is {a!r} in train, {b!r} in test"
+                )
 
     # Per config: the chosen (config, cost), or a "cv" config's slice of
     # the shared grid until cross validation picks from it.

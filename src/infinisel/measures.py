@@ -8,18 +8,22 @@ redundancy aggregate.
 Each call ranks every column at most once, into one integer matrix of
 twice the centred midranks from one vectorised sort (``_midranks``, which
 also ranks AUC scores). Spearman is its Gram product, summed exactly in
-int64 and rounded once to float64; bin codes read the same midranks.
-Mutual information keeps one table per set of columns (the features, or
-the labels): bin codes, marginals and entropies. One kernel, ``_mi_pairs``,
-gives the raw plug-in MI (nats) of any list of column pairs, tile by tile:
-exact joint counts from one ``np.bincount``, ``math.log`` once per distinct
-ratio, and each pair's terms summed correctly rounded by ``_rounded_sums``
-(an error-free TwoSum tree whose rounding is certified, with ``math.fsum``
-for the rare row it cannot certify). ``_nmi_pairs`` divides by the smaller
-marginal entropy, into [0, 1]. Blocks, scalar measures, label relevance,
-``rdn`` and mRMR (which reads the raw MI block) all call the kernel, so a
-block cell is bitwise equal to its scalar measure, and every histogram sum
-equals ``math.fsum`` of its terms: measures are exactly symmetric.
+int64 and rounded once to float64. ``_discretize`` bins every column in one
+pass: equal-frequency codes read the same midranks, and equal-width
+binning never ranks. Mutual information keeps one table per set of columns
+(the features, or the labels): bin codes, distinct marginals and
+entropies. One kernel, ``_mi_pairs``, gives the raw plug-in MI (nats) of
+any list of column pairs, tile by tile: exact joint counts from one
+``np.bincount``; the ratio, ``math.log`` and the term once per distinct
+integer (marginal pair, count) key; and each pair's terms summed correctly
+rounded by ``_rounded_sums`` (an error-free TwoSum tree whose rounding is
+certified, with ``math.fsum`` for the rare row it cannot certify).
+``_nmi_pairs`` divides by the smaller marginal entropy, into [0, 1].
+Blocks, scalar measures, label relevance, ``rdn`` and mRMR (which reads the
+raw MI block) all call the kernel, so a block cell is bitwise equal to its
+scalar measure, and every histogram sum equals ``math.fsum`` of its terms:
+measures are exactly symmetric. The std block is one reduction over the
+transposed matrix, bitwise equal to ``feature_std``.
 """
 
 from __future__ import annotations
@@ -142,42 +146,67 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
 def discretize(x: np.ndarray, ranks: np.ndarray, policy: BinningPolicy) -> tuple[np.ndarray, int]:
     """Map a real vector to integer bin codes; returns (codes, bin count).
 
-    ``ranks``, the column of ``_midranks``, counts the distinct values. A
-    vector with at most ``bin_count`` of them is categorical and its values
-    become the bins directly. Otherwise equal-frequency binning reads the
-    ranks, so tied values always share a bin; either way any strictly
-    increasing transform of ``x`` yields the same codes.
+    A vector with at most ``bin_count`` distinct values is categorical and
+    its values become the bins directly. Otherwise equal-width binning
+    splits its range, and equal-frequency binning reads ``ranks``, the
+    column of ``_midranks``, so tied values always share a bin; either way
+    any strictly increasing transform of ``x`` yields the same codes.
     """
-    n = x.size
-    occupied = np.bincount(ranks + n - 1, minlength=2 * n - 1) > 0
-    distinct = int(occupied.sum())
-    if distinct <= policy.bin_count:
-        return np.cumsum(occupied)[ranks + n - 1] - 1, distinct
-    bins = policy.bin_count
+    codes, bins = _discretize(x[:, None], policy, ranks[:, None])
+    return codes[0], int(bins[0])
+
+
+def _discretize(
+    values: np.ndarray, policy: BinningPolicy, ranks: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    # ``discretize`` of every column of an n × k matrix at once: k × n codes
+    # and k bin counts. One sort per column counts its distinct values (of
+    # the values under equal width, of the midranks under equal frequency,
+    # which tie and order alike); only categorical columns are argsorted,
+    # for their codes. Equal width never ranks.
+    n = len(values)
+    bins = min(policy.bin_count, n)  # past n every column is categorical; keeps huge counts out of numpy
     if policy.kind == "equal_width":
-        codes = np.floor((x - x.min()) / np.ptp(x) * bins).astype(np.int64)
+        rows = np.ascontiguousarray(values.T)
+    else:
+        rows = (_midranks(values) if ranks is None else ranks).T
+    levels = np.sort(rows, axis=1)
+    first = np.ones(rows.shape, dtype=bool)  # a run of equal values starts here; −0.0 ties 0.0
+    np.not_equal(levels[:, 1:], levels[:, :-1], out=first[:, 1:])
+    distinct = first.sum(axis=1)
+    categorical = distinct <= bins
+    if policy.kind == "equal_width":
+        lo = levels[:, :1].copy()
+        span = levels[:, -1:] - lo
+        span[categorical] = 1.0  # their codes are replaced below; a constant column would divide by 0
+        del levels
+        scaled = (rows - lo) / span * bins
     else:  # (ranks + n) / 2 is the midrank minus ½, exactly
-        codes = np.floor((ranks + n) / 2 / n * bins).astype(np.int64)
-    return np.clip(codes, 0, bins - 1), bins
+        del levels
+        scaled = (rows + n) / 2 / n * bins
+    np.floor(scaled, out=scaled)
+    codes = np.clip(scaled, 0, bins - 1, out=scaled).astype(np.int64)
+    del scaled
+    cat = np.flatnonzero(categorical)
+    if cat.size:  # the index of each value's run among the column's sorted runs
+        sorted_runs = np.cumsum(first[cat], axis=1) - 1
+        runs = np.empty_like(sorted_runs)
+        np.put_along_axis(runs, np.argsort(rows[cat], axis=1), sorted_runs, axis=1)
+        codes[cat] = runs
+    return codes, np.where(categorical, distinct, bins)
 
 
 class _MiTable(NamedTuple):  # several features, or the labels, for MI
     codes: np.ndarray  # k × n bin codes, one row per column
-    marginals: np.ndarray  # k × width integer bin counts / n (0 past a column's bins)
+    levels: np.ndarray  # the distinct marginals (integer bin counts / n), ascending
+    level: np.ndarray  # k × width index into levels of each bin's marginal (0.0 past a column's bins)
     entropy: np.ndarray  # k marginal entropies (nats)
 
 
-# Budget of one kernel tile's temporaries (pair codes, counts, ratios, terms).
+# Budget of one kernel tile's temporaries (pair codes, counts, keys, terms).
 # Tiles of 1 MB left the heap ~0.6 MB larger at n=500, m=60, with no speed gain.
 _TILE_BYTES = 768 << 10
 _U = 2.0**-53  # float64 unit roundoff
-
-
-def _logs(x: np.ndarray) -> np.ndarray:
-    # math.log once per distinct value: np.log differs from it in the last bit
-    # on some inputs, and math.log is what the plug-in definition reads.
-    distinct, inverse = np.unique(x, return_inverse=True)
-    return np.array([math.log(v) for v in distinct.tolist()])[inverse].reshape(x.shape)
 
 
 def _rounded_sums(terms: np.ndarray) -> np.ndarray:
@@ -224,24 +253,52 @@ def _bincounts(codes: np.ndarray, bins: int) -> np.ndarray:
     return np.bincount(codes.ravel(), minlength=rows * bins).reshape(rows, bins)
 
 
-def _coded_table(coded: list[tuple[np.ndarray, int]]) -> _MiTable:
-    codes = np.stack([c for c, _ in coded])
-    width = max(bins for _, bins in coded)
+def _coded_table(codes: np.ndarray, width: int) -> _MiTable:
+    # math.log once per distinct marginal: np.log differs from it in the last
+    # bit on some inputs, and math.log is what the plug-in definition reads.
     marginals = _bincounts(codes.copy(), width) / codes.shape[1]
-    entropy = -_rounded_sums(marginals * _logs(np.where(marginals > 0.0, marginals, 1.0)))
-    return _MiTable(codes, marginals, entropy)
+    levels, level = np.unique(marginals, return_inverse=True)
+    level = level.reshape(marginals.shape)
+    logs = np.array([math.log(p) if p > 0.0 else 0.0 for p in levels.tolist()])
+    return _MiTable(codes, levels, level, -_rounded_sums(marginals * logs[level]))
 
 
 def _mi_table(values: np.ndarray, policy: BinningPolicy, ranks: np.ndarray | None = None) -> _MiTable:
-    if ranks is None:
-        ranks = _midranks(values)  # unless the caller has ranked already
-    return _coded_table([discretize(x, r, policy) for x, r in zip(values.T, ranks.T)])
+    codes, bins = _discretize(values, policy, ranks)  # ranks: the caller's midranks, if it has them
+    return _coded_table(codes, int(bins.max()))
 
 
 def _label_table(labels: np.ndarray) -> _MiTable:
     # Labels are already discrete: each class is one bin, never re-binned.
     classes, codes = np.unique(labels, return_inverse=True)
-    return _coded_table([(codes.astype(np.int64).ravel(), int(classes.size))])
+    return _coded_table(codes.astype(np.int64).reshape(1, -1), int(classes.size))
+
+
+def _distinct_keys(pair: np.ndarray, count: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (pair, count) keys of some cells, and each cell's index
+    into them: ``np.unique`` of the keys, with ``return_inverse``.
+
+    Counts lie in [0, span). Returns the distinct pairs and counts, ascending
+    by (pair, count), and an index array shaped as the cells. Below 2⁶³ a key
+    is the exact int64 ``pair·span + count``, built in ``pair`` (a scratch
+    array); a presence mask finds the distinct keys while their range is
+    within twice the cell count, a sort otherwise. A wider range keys on
+    the (pair, count) rows themselves.
+    """
+    keys = (int(pair.max()) + 1) * span
+    if keys > np.iinfo(np.int64).max:
+        rows, inverse = np.unique(np.stack([pair.ravel(), count.ravel()], axis=1), axis=0, return_inverse=True)
+        return rows[:, 0], rows[:, 1], inverse.reshape(pair.shape)
+    pair *= span
+    pair += count
+    if keys <= 2 * pair.size:
+        present = np.zeros(keys, dtype=bool)
+        present[pair] = True
+        distinct = np.flatnonzero(present)
+        inverse = (np.cumsum(present) - 1)[pair]
+    else:
+        distinct, inverse = np.unique(pair, return_inverse=True)
+    return distinct // span, distinct % span, inverse.reshape(pair.shape)
 
 
 def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYTES) -> np.ndarray:
@@ -251,14 +308,21 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYT
     A pair's joint table is a wl × wr slab of exact counts, wl and wr being
     the two tables' widest bin counts. A cell's term is
     ``joint · log(joint / (pa·pb))``, 0.0 when empty, and each pair sums its
-    terms correctly rounded, as ``math.fsum`` does. Tiles of pairs keep the
-    temporaries near ``tile_bytes``: the pair codes take two int64 arrays
-    of n a pair, the cell stages about ten of wl·wr.
+    terms correctly rounded, as ``math.fsum`` does. A term depends only on
+    its cell's count and two marginals, so each tile keys its cells by the
+    integer (marginal pair, count) and computes the ratio, ``math.log`` and
+    the term once per distinct key. Tiles of pairs keep the temporaries near
+    ``tile_bytes``: the pair codes take two int64 arrays of n a pair; the
+    cell stages about ten 8-byte arrays of wl·wr (counts, keys, their
+    index, the gathered terms, the sum's padded rows and errors, and at
+    most two for the presence mask's index).
     """
     n = left.codes.shape[1]
-    wl, wr = left.marginals.shape[1], right.marginals.shape[1]
+    wl, wr = left.level.shape[1], right.level.shape[1]
     cells = wl * wr
     scaled = left.codes * wr
+    nr = len(right.levels)
+    left_pair = left.level * nr  # marginal pair index a·nr + b, left part
     out = np.empty(len(i))
     step = max(tile_bytes // (80 * cells), 1)
     count_step = max(tile_bytes // (16 * n), 1)
@@ -269,11 +333,14 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYT
             codes = scaled[ti[k:k + count_step]]  # joint codes a·wr + b
             codes += right.codes[tj[k:k + count_step]]
             counts.append(_bincounts(codes, cells))
-        counts = np.concatenate(counts).reshape(len(ti), wl, wr)
-        joint = counts / n
-        expected = left.marginals[ti][:, :, None] * right.marginals[tj][:, None, :]
-        ratio = np.divide(joint, expected, out=np.ones_like(joint), where=counts > 0)
-        out[start:start + len(ti)] = _rounded_sums((joint * _logs(ratio)).reshape(len(ti), cells))
+        counts = np.concatenate(counts)
+        pair = (left_pair[ti][:, :, None] + right.level[tj][:, None, :]).reshape(len(ti), cells)
+        pairs, hits, inverse = _distinct_keys(pair, counts, n + 1)
+        joint = hits / n
+        expected = left.levels[pairs // nr] * right.levels[pairs % nr]
+        ratio = np.divide(joint, expected, out=np.ones_like(joint), where=hits > 0)
+        terms = joint * np.array([math.log(r) for r in ratio.tolist()])
+        out[start:start + len(ti)] = _rounded_sums(terms[inverse])
     return np.maximum(out, 0.0)
 
 
@@ -358,8 +425,9 @@ def build_measure_cache(
     if need_relevance and dataset.labels is None:
         raise ConfigError("label relevance requires a labeled dataset")
     values = dataset.values
-    # Column-at-a-time keeps each entry bitwise equal to feature_std().
-    std = np.array([np.std(column) for column in values.T])
+    # Each row of the transpose reduces in the pairwise order of one column,
+    # so every entry is bitwise equal to feature_std().
+    std = np.std(np.ascontiguousarray(values.T), axis=1)
 
     spearman_block = mi_block = rdn_block = relevance_block = ranks = None
     if need_spearman:

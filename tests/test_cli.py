@@ -170,6 +170,18 @@ class TestRankCommand:
         assert code == 0
         assert len(out.read_text().splitlines()) == 7
 
+    @pytest.mark.parametrize("variant", ["mifs", "mrmr"])
+    @pytest.mark.parametrize("binning", ["width", "frequency"])
+    def test_bin_count_past_int64_is_the_row_count(self, tmp_path, labeled_csv, binning, variant):
+        # 40 rows: any bin count from 40 up makes every column categorical.
+        outs = []
+        for bins in ("40", "99999999999999999999"):
+            out = tmp_path / f"{bins}.csv"
+            assert main(["rank", labeled_csv, "--variant", variant, "--alpha", "0.5", "--binning", binning,
+                         "--bins", bins, "--label-column", "y", "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_bad_binning_flag(self, labeled_csv, capsys):
         code = main(["rank", labeled_csv, "--binning", "quantile", "--label-column", "y"])
         assert code == 3
@@ -279,6 +291,23 @@ class TestEvalCommand:
                      "--label-column", "y", "--output", str(tmp_path / "x")])
         assert code == 3
         assert "feature counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_permuted_test_columns_exit_three(self, tmp_path, command, capsys):
+        # The same rows with the test file's columns in another order would
+        # score a classifier on the wrong features.
+        rng = np.random.default_rng(94)
+        y = rng.integers(0, 2, 40)
+        values = rng.normal(size=(40, 4))
+        train = write_csv(tmp_path / "train.csv", values, labels=y)
+        test = write_csv(tmp_path / "test.csv", values[:, [0, 2, 1, 3]], labels=y,
+                         names=["x0", "x2", "x1", "x3"])
+        code = main([command, train, test, "--alpha", "0.5", "--label-column", "y",
+                     "--n-grid", "2", "--output", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "feature 1 is 'x1' in train, 'x2' in test" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("x.*"))
 
 
 class TestCompareCommand:

@@ -1,6 +1,8 @@
 """The vectorised mutual-information kernel against the per-pair loop it
-replaced (``oracles._mi``, ``_nmi`` and ``_symmetric_block``), bitwise, and
-its correctly rounded row sum against ``math.fsum``."""
+replaced (``oracles._mi``, ``_nmi`` and ``_symmetric_block``), bitwise; its
+correctly rounded row sum against ``math.fsum``; its key de-duplication
+against ``np.unique``; the one-pass bin codes against the per-column
+discretization; and the one-reduction std against ``feature_std``."""
 
 import math
 
@@ -8,10 +10,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
-from infinisel import BinningPolicy, Dataset, build_measure_cache
-from infinisel.measures import _label_pairs, _label_table, _mi_pairs, _mi_table, _nmi_pairs, _pair_block, _rounded_sums
+from infinisel import BinningPolicy, Dataset, build_measure_cache, feature_std
+from infinisel.measures import (
+    _discretize,
+    _distinct_keys,
+    _label_pairs,
+    _label_table,
+    _mi_pairs,
+    _mi_table,
+    _midranks,
+    _nmi_pairs,
+    _pair_block,
+    _rounded_sums,
+    discretize,
+)
 
 # Mantissa · 2^e from the smallest subnormal to about ±1e300.
 WIDE = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 996))
@@ -109,3 +124,85 @@ def test_one_pair_per_tile_gives_the_bytes_of_one_tile():
         single = _mi_pairs(left, a, right, b, tile_bytes=1)
         assert single.tobytes() == _mi_pairs(left, a, right, b, tile_bytes=2**40).tobytes()
         assert single.tobytes() == _mi_pairs(left, a, right, b).tobytes()
+
+
+@st.composite
+def binned_columns(draw):
+    """An n x k matrix of categorical, tied, constant, ±0.0 and continuous
+    columns, with a policy whose bin count may pass n or 2⁶³."""
+    n = draw(st.integers(2, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["categorical", "tied", "constant", "zeros", "continuous"]))
+        if kind == "continuous":
+            cells = st.floats(-1e150, 1e150, allow_nan=False, allow_subnormal=True)
+        elif kind == "constant":
+            cells = st.just(draw(st.sampled_from([0.0, -0.0, 2.5, -1e-310])))
+        elif kind == "zeros":
+            cells = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0])
+        else:
+            levels = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=4 if kind == "categorical" else 12))
+            cells = st.sampled_from(levels + [-v for v in levels if v == 0.0])
+        columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    bins = draw(st.one_of(st.integers(2, 12), st.sampled_from([n - 1, n, n + 1, 2**70])))
+    policy = BinningPolicy(draw(st.sampled_from(["equal_width", "equal_frequency"])), max(bins, 2))
+    return np.array(columns).T, policy
+
+
+@settings(max_examples=300, deadline=None)
+@given(binned_columns())
+def test_one_pass_codes_equal_per_column_discretize(case):
+    values, policy = case
+    ranks = _midranks(values)
+    codes, bins = _discretize(values, policy)
+    assert codes.dtype == np.int64 and bins.dtype == np.int64
+    for col, (x, r) in enumerate(zip(values.T, ranks.T)):
+        expected, count = oracles.discretize_reference(x, r, policy)
+        got, got_count = discretize(x, r, policy)
+        assert got.tolist() == expected.tolist() and got_count == count
+        assert codes[col].tolist() == expected.tolist() and bins[col] == count
+    assert _mi_table(values, policy).codes.tobytes() == codes.tobytes()
+    assert _mi_table(values, policy, ranks).codes.tobytes() == codes.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 300).flatmap(
+    lambda n: arrays(np.float64, (n, 3), elements=st.floats(-1e100, 1e100, allow_nan=False, allow_subnormal=True))))
+def test_cache_std_equals_feature_std(values):
+    # n from 2 to 300 covers numpy's unrolled blocks of 8 and the pairwise
+    # split past 128 elements, with and without a remainder.
+    dataset = Dataset(values)
+    std = build_measure_cache(dataset, BinningPolicy()).std
+    assert std.tobytes() == np.array([feature_std(dataset, i) for i in range(dataset.m)]).tobytes()
+
+
+def unique_keys(pair, count):
+    keys = sorted(set(zip(pair.ravel().tolist(), count.ravel().tolist())))
+    index = {key: k for k, key in enumerate(keys)}
+    inverse = [index[key] for key in zip(pair.ravel().tolist(), count.ravel().tolist())]
+    return [p for p, _ in keys], [c for _, c in keys], np.reshape(inverse, pair.shape).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 12), st.integers(1, 8), st.sampled_from(["mask", "sort", "wide"]), st.data())
+def test_distinct_keys_equal_unique(rows, cols, pairs, branch, data):
+    # The span picks the branch: a key range within twice the cell
+    # count, one up to 2⁶³ − 1, and one past it (no array of that size is
+    # ever made: the keys are rows of (pair, count)).
+    span = {"mask": 2, "sort": 10**12, "wide": 2**62}[branch]
+    top = min(pairs, rows * cols) if branch == "mask" else pairs
+    cells = st.lists(st.integers(0, top - 1), min_size=rows * cols, max_size=rows * cols)
+    pair = np.array(data.draw(cells), dtype=np.int64).reshape(rows, cols)
+    count = np.array(data.draw(st.lists(st.integers(0, min(span, 2**63) - 1), min_size=rows * cols,
+                                        max_size=rows * cols)), dtype=np.int64).reshape(rows, cols)
+    keys = (int(pair.max()) + 1) * span
+    if branch == "mask":
+        assert keys <= 2 * pair.size
+    elif branch == "sort":
+        assert 2 * pair.size < keys <= 2**63 - 1
+    else:
+        pair[0, 0] = 1  # at least two pair values: a range past 2⁶³
+        assert (int(pair.max()) + 1) * span > 2**63 - 1
+    expected = unique_keys(pair, count)
+    got_pairs, got_counts, inverse = _distinct_keys(pair.copy(), count, span)
+    assert (got_pairs.tolist(), got_counts.tolist(), inverse.tolist()) == expected
