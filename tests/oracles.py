@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from infinisel.dataset import Dataset, DataError, _is_number, _parse_cell, _parse_label
-from infinisel.measures import BinningPolicy, _midranks, discretize
+from infinisel.measures import BinningPolicy, _midranks
 
 
 def plugin_mi(x_codes, y_codes):
@@ -232,7 +232,7 @@ def _mi_state(codes: np.ndarray, bins: int) -> _MiState:
 def _mi_states(values: np.ndarray, policy: BinningPolicy, ranks: np.ndarray | None = None) -> list[_MiState]:
     if ranks is None:
         ranks = _midranks(values)  # unless the caller has ranked already
-    return [_mi_state(*discretize(x, r, policy)) for x, r in zip(values.T, ranks.T)]
+    return [_mi_state(*discretize_reference(x, r, policy)) for x, r in zip(values.T, ranks.T)]
 
 
 def _label_state(labels: np.ndarray) -> _MiState:

@@ -5,6 +5,7 @@ against ``np.unique``; the one-pass bin codes against the per-column
 discretization; and the one-reduction std against ``feature_std``."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from infinisel import BinningPolicy, Dataset, build_measure_cache, feature_std
+from infinisel import BinningPolicy, Dataset, build_measure_cache, feature_std, mutual_information
 from infinisel.measures import (
     _discretize,
     _distinct_keys,
@@ -25,7 +26,6 @@ from infinisel.measures import (
     _nmi_pairs,
     _pair_block,
     _rounded_sums,
-    discretize,
 )
 
 # Mantissa · 2^e from the smallest subnormal to about ±1e300.
@@ -158,11 +158,21 @@ def test_one_pass_codes_equal_per_column_discretize(case):
     assert codes.dtype == np.int64 and bins.dtype == np.int64
     for col, (x, r) in enumerate(zip(values.T, ranks.T)):
         expected, count = oracles.discretize_reference(x, r, policy)
-        got, got_count = discretize(x, r, policy)
-        assert got.tolist() == expected.tolist() and got_count == count
         assert codes[col].tolist() == expected.tolist() and bins[col] == count
+        one, one_count = _discretize(x[:, None], policy, r[:, None])
+        assert one[0].tolist() == expected.tolist() and one_count[0] == count
     assert _mi_table(values, policy).codes.tobytes() == codes.tobytes()
     assert _mi_table(values, policy, ranks).codes.tobytes() == codes.tobytes()
+
+
+def test_categorical_column_is_never_scaled():
+    # Two distinct values are the bins themselves: scaling the column's
+    # range, which overflows float64 here, would only warn.
+    x, y = np.array([-1e308, 1e308, -1e308, 1e308]), np.array([0.0, 1.0, 0.0, 1.0])
+    policy = BinningPolicy("equal_width", 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mutual_information(x, y, policy) == mutual_information(y, y, policy) == math.log(2)
 
 
 @settings(max_examples=200, deadline=None)
