@@ -7,17 +7,21 @@ redundancy aggregate.
 
 Each call ranks every column at most once, into one integer matrix of
 twice the centred midranks from one vectorised sort (``_midranks``, which
-also ranks AUC scores). Spearman is its Gram product, summed exactly in
-int64 and rounded once to float64. ``_discretize`` bins every column in one
-pass: equal-frequency codes read the same midranks, and equal-width
-binning never ranks. Mutual information keeps one table per set of columns
+also ranks AUC scores). Spearman is its Gram product: float64 BLAS calls
+small enough for OpenBLAS to run on one thread, each an exact integer,
+added in int64 and rounded once to float64. ``_discretize`` bins every
+column in one pass: equal-frequency codes read the same midranks, and
+equal-width binning never ranks (a column whose range overflows float64 is
+a ``ValueError``). Mutual information keeps one table per set of columns
 (the features, or the labels): bin codes, distinct marginals and
 entropies. One kernel, ``_mi_pairs``, gives the raw plug-in MI (nats) of
 any list of column pairs, tile by tile: exact joint counts from one
-``np.bincount``; the ratio, ``math.log`` and the term once per distinct
-integer (marginal pair, count) key; and each pair's terms summed correctly
-rounded by ``_rounded_sums`` (an error-free TwoSum tree whose rounding is
-certified, with ``math.fsum`` for the rare row it cannot certify).
+``np.bincount`` over joint codes in the narrowest unsigned type; the
+ratio, ``math.log`` and the term once per distinct integer (marginal pair,
+count) key; and each pair's terms, or on a tile of few keys the exact
+multiples of its keys' terms, summed correctly rounded by
+``_rounded_sums`` (an error-free TwoSum tree whose rounding is certified,
+with ``math.fsum`` for the rare row it cannot certify).
 ``_nmi_pairs`` divides by the smaller marginal entropy, into [0, 1].
 Blocks, scalar measures, label relevance, ``rdn`` and mRMR (which reads the
 raw MI block) all call the kernel, so a block cell is bitwise equal to its
@@ -110,13 +114,40 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks.T
 
 
+# One float64 BLAS call of the Spearman Gram: at most _GRAM_TILE × _GRAM_TILE
+# outputs and 2¹⁸ multiply-adds, which OpenBLAS runs on the calling thread
+# (a larger, threaded call left a worker spinning beside pinned jobs).
+_GRAM_TILE = 64
+_GRAM_CALL = 1 << 18
+
+
 def _spearman_block(ranks: np.ndarray) -> np.ndarray:
     # Pearson correlation of midranks; 0 where either column is constant.
-    # Each |product| is at most (n - 1)², so a chunk of that many rows sums
-    # below 2⁶³; several chunks add up in Python integers: exact at any n.
-    n = ranks.shape[0]
-    rows = max((2**63 - 1) // max(n - 1, 1) ** 2, 1)
-    grams = [c.T @ c for c in (ranks[s:s + rows] for s in range(0, n, rows))]
+    # Each |product| is at most (n − 1)², so a float64 product over a chunk
+    # of at most 2⁵³ / (n − 1)² rows is an exact integer whatever the order
+    # of its sums. Chunk results add in int64 over groups of rows that stay
+    # below 2⁶³, and groups add in Python integers: exact at any n.
+    n, m = ranks.shape
+    square = max(n - 1, 1) ** 2
+    group = max((2**63 - 1) // square, 1)
+    if square <= 2**53:
+        cols = ranks.T.astype(np.float64)  # m × n, exact: |rank| < n
+        step = min(2**53 // square, _GRAM_CALL // min(m, _GRAM_TILE) ** 2)
+        group -= group % step  # whole chunks
+    else:  # past ~9.5·10⁷ rows one product can pass 2⁵³: int64, without BLAS
+        cols, step = ranks.T, group
+
+    def gram(chunks: range) -> np.ndarray:  # the chunks of one group
+        out = np.empty((m, m), dtype=np.int64)
+        for a in range(0, m, _GRAM_TILE):
+            for b in range(a, m, _GRAM_TILE):
+                out[a:a + _GRAM_TILE, b:b + _GRAM_TILE] = tile = sum(
+                    (cols[a:a + _GRAM_TILE, s:s + step] @ cols[b:b + _GRAM_TILE, s:s + step].T).astype(np.int64)
+                    for s in chunks)
+                out[b:b + _GRAM_TILE, a:a + _GRAM_TILE] = tile.T
+        return out
+
+    grams = [gram(range(g, min(g + group, n), step)) for g in range(0, n, group)]
     dots = (grams[0] if len(grams) == 1 else sum(g.astype(object) for g in grams)).astype(np.float64)
     denom = np.sqrt(np.outer(np.diag(dots), np.diag(dots)))
     return np.clip(np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0), -1.0, 1.0)
@@ -168,6 +199,13 @@ def _discretize(
     distinct = first.sum(axis=1)
     categorical = distinct <= bins
     if policy.kind == "equal_width":
+        # Halves never overflow, and their difference does exactly when the
+        # range does; only a column that is cut needs its range.
+        wide = np.flatnonzero(~categorical & (levels[:, -1] / 2 - levels[:, 0] / 2 > np.finfo(np.float64).max / 2))
+        if wide.size:
+            lo, hi = float(levels[wide[0], 0]), float(levels[wide[0], -1])
+            raise ValueError(f"column {wide[0]} spans {lo!r} to {hi!r}: its range overflows float64, "
+                             "so equal-width bins cannot cut it")
         # Categorical codes are replaced below: their rows scale by 0 / inf,
         # so no column that is never cut overflows or divides by zero.
         lo = np.where(categorical[:, None], 0.0, levels[:, :1])
@@ -242,7 +280,7 @@ def _bincounts(codes: np.ndarray, bins: int) -> np.ndarray:
     # Exact int64 counts of each row of codes in [0, bins): one np.bincount
     # once row p is offset by p·bins, in place (codes is a scratch array).
     rows = len(codes)
-    codes += np.arange(0, rows * bins, bins)[:, None]
+    codes += np.arange(0, rows * bins, bins, dtype=codes.dtype)[:, None]
     return np.bincount(codes.ravel(), minlength=rows * bins).reshape(rows, bins)
 
 
@@ -297,6 +335,26 @@ def _distinct_keys(pair: np.ndarray, count: np.ndarray, span: int) -> tuple[np.n
     return distinct // span, distinct % span, inverse.reshape(pair.shape)
 
 
+def _summed_by_key(terms: np.ndarray, inverse: np.ndarray, cells: int) -> np.ndarray:
+    # The correctly rounded sum of terms[inverse[p]] for each row p of cells
+    # key indices (inverse is a scratch array). With fewer than half as many
+    # keys as cells, a row sums its keys' multiples: a multiplicity is at most
+    # cells < 2^b, and Veltkamp's split by 2^b + 1 (Dekker 1971) leaves a
+    # term's hi with 53 − b bits and its lo with b − 1, so mult·hi and
+    # mult·lo are exact while 2b − 1 ≤ 53, and the row's 2K products add up
+    # to its exact sum. Pairs of 2²⁶ cells or more sum per cell.
+    keys, bits = len(terms), cells.bit_length()
+    if 2 * keys >= cells or bits > 26:
+        return _rounded_sums(terms[inverse])
+    mult = _bincounts(inverse, keys)
+    big = terms * float(2**bits + 1)
+    hi = big - (big - terms)
+    split = np.empty((len(mult), 2 * keys))
+    np.multiply(mult, hi, out=split[:, :keys])
+    np.multiply(mult, terms - hi, out=split[:, keys:])
+    return _rounded_sums(split)
+
+
 def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYTES) -> np.ndarray:
     """Raw plug-in MI (nats) of ``left`` column ``i[p]`` and ``right`` column
     ``j[p]``, for every p.
@@ -307,27 +365,34 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYT
     terms correctly rounded, as ``math.fsum`` does. A term depends only on
     its cell's count and two marginals, so each tile keys its cells by the
     integer (marginal pair, count) and computes the ratio, ``math.log`` and
-    the term once per distinct key. Tiles of pairs keep the temporaries near
-    ``tile_bytes``: the pair codes take two int64 arrays of n a pair; the
-    cell stages about ten 8-byte arrays of wl·wr (counts, keys, their
-    index, the gathered terms, the sum's padded rows and errors, and at
-    most two for the presence mask's index).
+    the term once per distinct key; a pair then sums either its cells' terms
+    or, on a tile of few keys, its keys' exact multiples (``_summed_by_key``).
+    Tiles of pairs keep the temporaries near ``tile_bytes``: the pair codes
+    take two 8-byte arrays of n a pair at most (joint codes plus row offsets
+    are held in the narrowest unsigned type that fits them); the cell stages
+    about ten 8-byte arrays of wl·wr (counts, keys, their index, the
+    gathered terms, the sum's padded rows and errors, and at most two for
+    the presence mask's index).
     """
     n = left.codes.shape[1]
     wl, wr = left.level.shape[1], right.level.shape[1]
     cells = wl * wr
-    scaled = left.codes * wr
+    count_step = max(tile_bytes // (16 * n), 1)
+    # Joint codes plus row offsets in the narrowest unsigned type that holds
+    # them: the gathers and adds move 2–8 times fewer bytes than in int64.
+    code_type = np.min_scalar_type(min(count_step, len(i)) * cells - 1)
+    scaled = (left.codes * wr).astype(code_type)
+    right_codes = right.codes.astype(code_type)
     nr = len(right.levels)
     left_pair = left.level * nr  # marginal pair index a·nr + b, left part
     out = np.empty(len(i))
     step = max(tile_bytes // (80 * cells), 1)
-    count_step = max(tile_bytes // (16 * n), 1)
     for start in range(0, len(i), step):
         ti, tj = i[start:start + step], j[start:start + step]
         counts = []
         for k in range(0, len(ti), count_step):
             codes = scaled[ti[k:k + count_step]]  # joint codes a·wr + b
-            codes += right.codes[tj[k:k + count_step]]
+            codes += right_codes[tj[k:k + count_step]]
             counts.append(_bincounts(codes, cells))
         counts = np.concatenate(counts)
         pair = (left_pair[ti][:, :, None] + right.level[tj][:, None, :]).reshape(len(ti), cells)
@@ -336,7 +401,7 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYT
         expected = left.levels[pairs // nr] * right.levels[pairs % nr]
         ratio = np.divide(joint, expected, out=np.ones_like(joint), where=hits > 0)
         terms = joint * np.array([math.log(r) for r in ratio.tolist()])
-        out[start:start + len(ti)] = _rounded_sums(terms[inverse])
+        out[start:start + len(ti)] = _summed_by_key(terms, inverse, cells)
     return np.maximum(out, 0.0)
 
 

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,8 @@ from infinisel import (
     relevance_to_labels,
     spearman,
 )
-from infinisel.measures import _midranks
+import infinisel
+from infinisel.measures import _midranks, _spearman_block
 
 POLICY = BinningPolicy()
 
@@ -385,6 +390,63 @@ class TestSpearmanOracle:
         for i in range(6):
             for j in range(6):
                 assert cache.spearman[i, j] == spearman_exact(values[:, i], values[:, j])
+
+    @pytest.mark.parametrize("m, n", [(65, 40), (130, 12), (65, 300)])
+    def test_tiled_block_matches_exact_integer_oracle_bitwise(self, m, n):
+        # The Gram runs in tiles of 64 columns, 64 rows a call at full
+        # width: m = 65 and 130 take several tiles, n = 300 five row chunks.
+        rng = np.random.default_rng(m * n)
+        values = rng.normal(size=(n, m))
+        values[:, 1::3] = np.round(values[:, 1::3])  # tied
+        values[:, 2::7] = 1.5  # constant
+        block = build_measure_cache(Dataset(values), POLICY, need_spearman=True).spearman
+        assert block.tobytes() == block.T.tobytes()
+        for i in range(m):
+            for j in range(i, m):
+                assert block[i, j] == spearman_exact(values[:, i], values[:, j])
+
+    def test_gram_past_two_to_the_53_adds_chunks_exactly(self):
+        # 2¹⁹ + 1 tied rows: the Gram's sums pass 2⁵³, where float64 keeps
+        # only even integers, so the 17 exact chunks (32768 rows a call) must
+        # add in integers; on this seed a float64 running sum moves the
+        # correlation by an ulp.
+        n = 2**19 + 1
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 3000, n).astype(float)
+        y = np.round(x + rng.normal(scale=1500, size=n), -2)
+        ranks = _midranks(np.column_stack([x, y]))
+        assert (ranks[:, 0] * ranks[:, 1]).sum() > 2**53
+        block = _spearman_block(ranks)
+        assert block[0, 1] == block[1, 0] == spearman_exact(x, y)
+        assert block[0, 0] == block[1, 1] == 1.0
+
+
+def available_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+SPIN_PROBE = """
+import time
+import numpy as np
+from infinisel.measures import _midranks, _spearman_block
+_spearman_block(_midranks(np.random.default_rng(0).normal(size=(5000, 40))))
+start = time.process_time()
+time.sleep(0.2)
+print(time.process_time() - start)
+"""
+
+
+@pytest.mark.skipif(available_cpus() < 2, reason="a BLAS worker thread needs a second CPU")
+def test_spearman_block_leaves_no_blas_worker_spinning():
+    # A threaded OpenBLAS call leaves its workers spinning for ~0.1 s of CPU
+    # after it returns; each Gram call stays under OpenBLAS's one-thread size,
+    # so the process sleeps idle. The whole 40 × 40 product in one call spun.
+    package_root = str(Path(infinisel.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SPIN_PROBE], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.020
 
 
 class TestMidranks:

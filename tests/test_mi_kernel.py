@@ -1,8 +1,9 @@
 """The vectorised mutual-information kernel against the per-pair loop it
 replaced (``oracles._mi``, ``_nmi`` and ``_symmetric_block``), bitwise; its
-correctly rounded row sum against ``math.fsum``; its key de-duplication
-against ``np.unique``; the one-pass bin codes against the per-column
-discretization; and the one-reduction std against ``feature_std``."""
+correctly rounded row sum and its sum by key multiplicity against
+``math.fsum``; its key de-duplication against ``np.unique``; the one-pass
+bin codes against the per-column discretization; and the one-reduction std
+against ``feature_std``."""
 
 import math
 import warnings
@@ -14,8 +15,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from infinisel import BinningPolicy, Dataset, build_measure_cache, feature_std, mutual_information
+from infinisel import (
+    BinningPolicy,
+    Dataset,
+    build_measure_cache,
+    feature_std,
+    measures,
+    mutual_information,
+    normalized_mi,
+)
 from infinisel.measures import (
+    _TILE_BYTES,
     _discretize,
     _distinct_keys,
     _label_pairs,
@@ -26,6 +36,7 @@ from infinisel.measures import (
     _nmi_pairs,
     _pair_block,
     _rounded_sums,
+    _summed_by_key,
 )
 
 # Mantissa · 2^e from the smallest subnormal to about ±1e300.
@@ -73,6 +84,9 @@ def test_halfway_tie_takes_the_fsum_fallback(monkeypatch):
 
 
 def column(rng, n, kind):
+    if kind == "wide":  # 257–400 levels: past 256 bins, joint codes need 32 bits
+        levels = rng.normal(size=int(rng.integers(257, 401)))
+        return levels[rng.integers(0, levels.size, n)]
     if kind == "normal":
         return rng.normal(size=n)
     if kind == "ties":
@@ -127,6 +141,82 @@ def test_one_pair_per_tile_gives_the_bytes_of_one_tile():
 
 
 @st.composite
+def kernel_cases(draw):
+    """Columns, labels, a policy and a tile budget. A small budget puts one
+    pair or a few in a tile, so a tile of few distinct keys (many bins on
+    short columns) sums by multiplicity and one of many (few bins) per
+    cell; 400 bins keep a column of 257–400 levels categorical."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(257, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(KINDS + ("wide",)), min_size=1, max_size=5))
+    values = np.column_stack([column(rng, n, kind) for kind in kinds])
+    labels = rng.integers(0, draw(st.sampled_from([2, 3, 13])), n)
+    kind = draw(st.sampled_from(["equal_width", "equal_frequency"]))
+    policy = BinningPolicy(kind, draw(st.sampled_from([2, 3, 10, 400])))
+    return values, labels, policy, draw(st.sampled_from([1, 4096, 65536, _TILE_BYTES]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases())
+def test_tiled_kernel_matches_per_pair_loop_bitwise(case):
+    values, labels, policy, tile_bytes = case
+    table, states = _mi_table(values, policy), oracles._mi_states(values, policy)
+    i, j = np.triu_indices(len(states))
+    got = _mi_pairs(table, i, table, j, tile_bytes=tile_bytes)
+    assert got.tobytes() == np.array([oracles._mi(states[a], states[b]) for a, b in zip(i, j)]).tobytes()
+    label = oracles._label_state(labels)
+    m = np.arange(len(states))
+    got = _mi_pairs(table, m, _label_table(labels), np.zeros_like(m), tile_bytes=tile_bytes)
+    assert got.tobytes() == np.array([oracles._mi(s, label) for s in states]).tobytes()
+
+
+def test_small_tiles_take_both_sum_branches_and_wide_codes(monkeypatch):
+    # Spies on the sum's row width (the cells of a pair, or twice a tile's
+    # keys) and on the joint codes' dtype prove the cases above are reached.
+    rng = np.random.default_rng(11)
+    values = np.column_stack([column(rng, 600, kind) for kind in ("normal", "ties", "wide", "wide")])
+    labels = rng.integers(0, 3, 600)
+    tables = [(_mi_table(values, BinningPolicy(bin_count=bins)), _label_table(labels)) for bins in (2, 400)]
+    widths, dtypes = [], set()
+    rounded_sums, bincounts = measures._rounded_sums, measures._bincounts
+    monkeypatch.setattr(measures, "_rounded_sums", lambda terms: widths.append(terms.shape[1]) or rounded_sums(terms))
+    monkeypatch.setattr(measures, "_bincounts",
+                        lambda codes, bins: dtypes.add(codes.dtype.name) or bincounts(codes, bins))
+    branches = set()
+    for table, label in tables:
+        i, j = np.triu_indices(4)
+        for left, a, right, b in ((table, i, table, j), (table, np.arange(4), label, np.zeros(4, dtype=np.int64))):
+            cells = left.level.shape[1] * right.level.shape[1]
+            del widths[:]
+            _mi_pairs(left, a, right, b, tile_bytes=1)
+            branches |= {"cell" if w == cells else "key" for w in widths}
+            assert all(w == cells or (w % 2 == 0 and w < cells) for w in widths)
+    assert branches == {"cell", "key"}
+    assert {"uint8", "uint32"} <= dtypes
+
+
+@st.composite
+def keyed_rows(draw):
+    """MI-like terms (zero, or 1e-30 to 1e3 in magnitude), and rows of key
+    indices into them: few keys to many cells, so multiplicities run high."""
+    keys = draw(st.integers(1, 8))
+    magnitude = st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-99, 10))
+    term = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda t: -t))
+    terms = draw(st.lists(term, min_size=keys, max_size=keys))
+    cells = draw(st.integers(1, 300))
+    inverse = draw(arrays(np.int64, (draw(st.integers(1, 4)), cells), elements=st.integers(0, keys - 1)))
+    return np.array(terms), inverse, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_rows())
+def test_sum_by_key_multiplicity_equals_fsum_bitwise(case):
+    terms, inverse, cells = case
+    expected = np.array([math.fsum(terms[row].tolist()) for row in inverse])
+    assert _summed_by_key(terms, inverse.copy(), cells).tobytes() == expected.tobytes()
+
+
+@st.composite
 def binned_columns(draw):
     """An n x k matrix of categorical, tied, constant, ±0.0 and continuous
     columns, with a policy whose bin count may pass n or 2⁶³."""
@@ -173,6 +263,21 @@ def test_categorical_column_is_never_scaled():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert mutual_information(x, y, policy) == mutual_information(y, y, policy) == math.log(2)
+
+
+def test_equal_width_range_past_float64_is_a_clear_error():
+    # The range of x overflows float64, so equal-width bins cannot cut it:
+    # a ValueError before any arithmetic warns. Equal-frequency bins cut the
+    # ranks, which equal those of z, and give z's value.
+    x, y = np.array([-1e308, 1e308, 0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0, 1.0, 0.0])
+    z = np.array([0.0, 4.0, 1.0, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure in (mutual_information, normalized_mi):
+            with pytest.raises(ValueError, match="column 0 spans -1e[+]308 to 1e[+]308: its range overflows float64"):
+                measure(x, y, BinningPolicy("equal_width", 2))
+            policy = BinningPolicy("equal_frequency", 2)
+            assert measure(x, y, policy) == measure(z, y, policy) > 0.0
 
 
 @settings(max_examples=200, deadline=None)
