@@ -46,14 +46,6 @@ def _parse_int(text: str, flag: str) -> int:
         raise ConfigError(f"{flag} must be an integer, got {text!r}") from None
 
 
-def _parse_variant(text: str) -> str:
-    if text not in SELECTOR_VARIANTS:
-        raise ConfigError(
-            f"unknown variant {text!r}; valid variants: {', '.join(SELECTOR_VARIANTS)}"
-        )
-    return text
-
-
 def _parse_n_grid(text: str) -> tuple[int, ...]:
     try:
         grid = tuple(int(tok) for tok in text.split(",") if tok.strip())
@@ -71,7 +63,7 @@ def _configs_from_args(args, variants, allow_cv: bool) -> tuple[list[SelectorCon
         raise ConfigError(f"--binning must be 'width' or 'frequency', got {args.binning!r}")
     configs = [
         SelectorConfig(
-            variant=_parse_variant(variant),
+            variant=variant,
             alpha=_parse_alpha(args.alpha, allow_cv),
             c=_parse_float(args.c, "--c"),
             preprocessing=args.preprocess,
@@ -86,10 +78,16 @@ def _configs_from_args(args, variants, allow_cv: bool) -> tuple[list[SelectorCon
 
 
 def _load_dataset(path: str, args) -> Dataset:
-    if args.format == "csv":
-        return load_csv(path, label_column=args.label_column)
-    if args.format == "libsvm":
-        return load_libsvm(path)
+    try:
+        if args.format == "csv":
+            return load_csv(path, label_column=args.label_column)
+        if args.format == "libsvm":
+            return load_libsvm(path)
+    except DataError as exc:
+        # eval and compare read two files; a cell error alone would not say which.
+        if path in str(exc):
+            raise
+        raise DataError(f"{path}: {exc}") from None
     raise ConfigError(f"--format must be 'csv' or 'libsvm', got {args.format!r}")
 
 
@@ -145,8 +143,6 @@ def cmd_compare(args) -> int:
     variants = tuple(tok.strip() for tok in args.variants.split(",") if tok.strip())
     if not variants:
         raise ConfigError("--variants must list at least one variant")
-    for v in variants:
-        _parse_variant(v)
     repeated = sorted({v for v in variants if variants.count(v) > 1})
     if repeated:
         raise ConfigError(f"--variants lists {', '.join(repeated)} more than once")

@@ -35,9 +35,8 @@ class SelectorConfig:
 
     def __post_init__(self):
         if self.variant not in SELECTOR_VARIANTS:
-            raise ConfigError(
-                f"unknown variant {self.variant!r}; expected one of {SELECTOR_VARIANTS}"
-            )
+            valid = ", ".join(SELECTOR_VARIANTS)
+            raise ConfigError(f"unknown variant {self.variant!r}; valid variants: {valid}")
         if isinstance(self.alpha, str):
             if self.alpha != "cv":
                 raise ConfigError(f"alpha must be a number in [0, 1] or 'cv', got {self.alpha!r}")

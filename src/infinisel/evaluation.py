@@ -11,10 +11,12 @@ the training rows only, applies them unchanged to the held-out rows,
 ranks, and fits each distinct (scheme, top-N columns, cost) classifier
 once. So the test split can never influence the selection stage.
 
-The classifier fits of a holdout run together: ``_train_linear_batch``
-steps every fit of one column count in lockstep, one set of numpy calls
-per round, and each fit's result is bitwise what ``train_linear`` gives
-for it alone.
+Each stage has one route. Rankings come from ``scoring.rank_scaled``.
+Every classifier fit, whether from ``train_linear``, ``fit_classifier`` or
+a holdout, goes through ``_fit_classifiers``, which alone checks the
+shapes, class count and cost. It hands every fit of one column count to
+``_train_linear_batch``, which steps them in lockstep, one set of numpy
+calls per round, and each fit's result is bitwise what it gets alone.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .config import ALPHA_GRID, COST_GRID, SelectorConfig
 from .dataset import Dataset, fit_scaler
 from .errors import ConfigError
 from .measures import _midranks
-from .scoring import rank_scaled
+from .scoring import _by_rank, rank_scaled
 
 DEFAULT_N_GRID = (10, 50, 100, 150, 200)
 DEFAULT_EPOCHS = 200
@@ -57,19 +59,6 @@ class LinearClassifier:
         return np.where(self.decision_function(x) >= 0.0, self.classes[1], self.classes[0])
 
 
-def _check_binary(x, y, cost):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError(f"shape mismatch: x {x.shape} vs y {y.shape}")
-    classes = np.unique(y)
-    if classes.size != 2:
-        raise ValueError(f"binary training needs exactly 2 classes, got {classes.size}")
-    if cost <= 0:
-        raise ValueError(f"cost must be positive, got {cost}")
-    return x, y, classes
-
-
 def train_linear(
     x: np.ndarray, y: np.ndarray, cost: float, epochs: int = DEFAULT_EPOCHS
 ) -> LinearClassifier:
@@ -80,12 +69,12 @@ def train_linear(
     Step sizes backtrack until the objective decreases, so the recorded
     training loss never increases. Deterministic for fixed inputs.
     """
-    x, y, classes = _check_binary(x, y, cost)
-    targets = np.where(y == classes[1], 1.0, -1.0)
-    [(w, b, history)] = _train_linear_batch(
-        np.ascontiguousarray(x)[None], targets[None], [cost], epochs
-    )
-    return LinearClassifier(w, b, classes, history)
+    classes = np.unique(y)
+    if classes.size != 2:
+        raise ValueError(f"binary training needs exactly 2 classes, got {classes.size}")
+    x = np.asarray(x, dtype=np.float64)  # shape[-1]: a 1-D x reaches the shape check
+    [model] = _fit_classifiers([(x, np.arange(x.shape[-1]), cost)], y, epochs)
+    return model
 
 
 # Bytes of stacked matrices and round temporaries one lockstep batch may hold.
@@ -109,9 +98,8 @@ def _train_linear_batch(xs, targets, costs, epochs):
     and ``np.add.reduce(..., axis=1)`` the same pairwise sum per row. Every
     problem keeps its own step, epoch count, history and stop rule (the
     epoch cap, a zero gradient, or no accepted step), so each result is
-    bitwise the one the problem gets alone. Finished problems stay in the
-    stack, frozen, until at most half of it is live; then the live rows
-    move to the front of ``xs``, so the caller must not reuse it.
+    bitwise the one the problem gets alone. A finished problem stays in the
+    stack, frozen, and ``xs`` is only read.
     Returns ``(weights, bias, objective history)`` per problem.
     """
     p, n, k = xs.shape
@@ -133,7 +121,6 @@ def _train_linear_batch(xs, targets, costs, epochs):
         gb = -np.add.reduce(active, axis=1) / n
         return gw, gb, np.matmul(gw[:, None, :], gw[:, :, None])[:, 0, 0] + gb * gb
 
-    row = np.arange(p)  # the problem in each stack row
     w, b = np.zeros((p, k)), np.zeros(p)
     obj, margins = objective(w, b)
     histories = [[value] for value in obj.tolist()]
@@ -141,18 +128,7 @@ def _train_linear_batch(xs, targets, costs, epochs):
     step = np.full(p, 2.0)  # the first epoch doubles the unit step
     gw, gb, norm2 = gradient(w, margins)
     live = ~(norm2 <= 1e-24) & (epochs > 0)
-    weights, biases = np.empty((p, k)), np.empty(p)
     while live.any():
-        if 2 * np.count_nonzero(live) <= live.size:
-            weights[row[~live]], biases[row[~live]] = w[~live], b[~live]
-            keep = np.flatnonzero(live)
-            for dst, src in enumerate(keep.tolist()):
-                if dst != src:
-                    xs[dst] = xs[src]
-            xs = xs[: keep.size]
-            t, lam, row, w, b, obj, done, step, gw, gb, live = (
-                a[keep] for a in (t, lam, row, w, b, obj, done, step, gw, gb, live)
-            )
         w_new, b_new = w - step[:, None] * gw, b - step * gb
         obj_new, margins = objective(w_new, b_new)
         accepted = live & (obj_new < obj)
@@ -161,7 +137,7 @@ def _train_linear_batch(xs, targets, costs, epochs):
         b = np.where(accepted, b_new, b)
         obj = np.where(accepted, obj_new, obj)
         done += accepted
-        for i, value in zip(row[accepted].tolist(), obj_new[accepted].tolist()):
+        for i, value in zip(np.flatnonzero(accepted).tolist(), obj_new[accepted].tolist()):
             histories[i].append(value)
         step = np.where(rejected, step * 0.5, step)
         live &= ~(rejected & (step <= 1e-18)) & (done < epochs)
@@ -172,8 +148,7 @@ def _train_linear_batch(xs, targets, costs, epochs):
             gb = np.where(moved, gb_new, gb)
             step = np.where(moved, np.minimum(step * 2.0, 1e6), step)
             live &= ~(moved & (norm2 <= 1e-24))
-    weights[row], biases[row] = w, b
-    return [(weights[i], float(biases[i]), tuple(histories[i])) for i in range(p)]
+    return [(w[i], float(b[i]), tuple(histories[i])) for i in range(p)]
 
 
 @dataclass(frozen=True)
@@ -188,12 +163,8 @@ class _OneVsRest:
 
 def fit_classifier(x, y, cost):
     """Binary classifier, or a one-vs-rest reduction for more classes."""
-    y = np.asarray(y)
-    classes = np.unique(y)
-    if classes.size < 2:
-        raise ValueError("training data contains a single class")
-    x, _, _ = _check_binary(x, y == classes[-1], cost)  # what each one-vs-rest fit checks
-    [model] = _fit_classifiers([(x, np.arange(x.shape[1]), cost)], y)
+    x = np.asarray(x, dtype=np.float64)  # shape[-1]: a 1-D x reaches the shape check
+    [model] = _fit_classifiers([(x, np.arange(x.shape[-1]), cost)], y)
     return model
 
 
@@ -204,12 +175,15 @@ def _fit_classifiers(problems, y, epochs=DEFAULT_EPOCHS):
     All binary fits (one per class of a one-vs-rest problem) of one column
     count run through ``_train_linear_batch`` together, in as few equal
     chunks as keep each chunk's ``_batch_bytes`` within ``BATCH_BYTES``. A
-    fit larger than that runs alone, on the one matrix a lone fit copies.
+    fit larger than that runs alone.
     """
+    y = np.asarray(y)
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("training data contains a single class")
-    for _, _, cost in problems:
+    for values, _, cost in problems:
+        if values.ndim != 2 or values.shape[0] != y.shape[0]:
+            raise ValueError(f"shape mismatch: x {values.shape} vs y {y.shape}")
         if cost <= 0:
             raise ValueError(f"cost must be positive, got {cost}")
     positives = classes[1:] if classes.size == 2 else classes
@@ -294,7 +268,7 @@ def _holdout(train: Dataset, test: Dataset, grid, n_eval):
     depend on the classifier cost), then fits one classifier per distinct
     (scheme, ordered top-N columns, cost). Returns, aligned with ``grid``,
     the per-N ``(accuracy, auc)`` pairs on ``test`` -- ``auc`` is None
-    unless the task is binary -- and each config's ``(order, scores)``.
+    unless the task is binary -- and each config's ``rank_scaled`` ranking.
     """
     configs = list(dict.fromkeys(config for config, _ in grid))
     scaled, rankings = {}, {}
@@ -309,7 +283,7 @@ def _holdout(train: Dataset, test: Dataset, grid, n_eval):
     keys, entries = {}, []
     for config, cost in grid:
         scheme = config.resolved_preprocessing
-        order = rankings[config][0]
+        order = np.asarray(rankings[config].order)
         entry = []
         for n in n_eval:
             key = (scheme, tuple(order[:n].tolist()), cost)
@@ -476,7 +450,7 @@ def _evaluate(
             max=float(np.max(accs)),
             per_n_auc=None if None in aucs else dict(zip(n_eval, aucs)),
         )
-        out.append((report, rankings[config]))
+        out.append((report, _by_rank(rankings[config])))
     return out
 
 

@@ -18,7 +18,7 @@ from .config import SelectorConfig
 from .dataset import Dataset, preprocess
 from .errors import ConfigError
 from .measures import build_measure_cache
-from .mrmr import mrmr_select
+from .mrmr import MrmrSelection, mrmr_select
 
 
 @dataclass(frozen=True)
@@ -110,27 +110,18 @@ def energy_scores(a, c: float = 0.9) -> FeatureRanking:
     return FeatureRanking(np.argsort(-scores, kind="stable"), scores, r, rho)
 
 
-def _energy_rankings(scaled: Dataset, configs) -> list[FeatureRanking]:
-    """Graph-energy rankings of configs that share a variant and a binning
-    policy, on preprocessed data: one measure cache, then one adjacency
-    build and one solve per config."""
-    variant, binning = configs[0].variant, configs[0].binning
-    if variant not in GRAPHS:
-        raise ConfigError(f"variant {variant!r} does not produce a graph-energy ranking")
-    if scaled.m < 2:
-        raise ConfigError(f"ranking needs at least 2 features, got {scaled.m}")
-    cache = build_measure_cache(scaled, binning, **GRAPHS[variant].measure_flags)
-    return [energy_scores(build_adjacency(cache, variant, c.fixed_alpha), c.c) for c in configs]
-
-
-def rank_scaled(scaled: Dataset, configs) -> dict[SelectorConfig, tuple[np.ndarray, np.ndarray]]:
-    """Feature ordering for each config on already-preprocessed data.
+def rank_scaled(
+    scaled: Dataset, configs
+) -> dict[SelectorConfig, FeatureRanking | MrmrSelection]:
+    """Each config's ranking of already-preprocessed data: a
+    ``FeatureRanking`` for a graph variant, an ``MrmrSelection`` of every
+    feature for mrmr.
 
     The one ranking path: measure blocks depend only on the variant and the
     binning policy, so they are computed once per (variant, binning) and
-    shared by every config in that group (mrmr, which has no trade-off,
-    runs its greedy selection once per group). Maps each config to
-    ``(order, scores_by_rank)`` as returned by ``selection_order``.
+    shared by every config in that group, each of which then gets one
+    adjacency build and one solve (mrmr, which has no trade-off, runs its
+    greedy selection once per group).
     """
     groups: dict[tuple, list[SelectorConfig]] = {}
     for config in configs:
@@ -138,13 +129,23 @@ def rank_scaled(scaled: Dataset, configs) -> dict[SelectorConfig, tuple[np.ndarr
     out = {}
     for (variant, binning), group in groups.items():
         if variant == "mrmr":
-            selection = mrmr_select(scaled, scaled.m, binning)
-            order = np.asarray(selection.order, dtype=np.int64)
-            out.update(dict.fromkeys(group, (order, np.asarray(selection.objective_trace))))
-        else:
-            for config, ranking in zip(group, _energy_rankings(scaled, group)):
-                out[config] = (ranking.order, ranking.scores[ranking.order])
+            out.update(dict.fromkeys(group, mrmr_select(scaled, scaled.m, binning)))
+            continue
+        if scaled.m < 2:
+            raise ConfigError(f"ranking needs at least 2 features, got {scaled.m}")
+        cache = build_measure_cache(scaled, binning, **GRAPHS[variant].measure_flags)
+        for config in group:
+            adjacency = build_adjacency(cache, variant, config.fixed_alpha)
+            out[config] = energy_scores(adjacency, config.c)
     return out
+
+
+def _by_rank(ranking: FeatureRanking | MrmrSelection) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, scores_by_rank)`` of a ranking from ``rank_scaled``: the
+    energy score or the greedy objective value at each rank position."""
+    if isinstance(ranking, MrmrSelection):
+        return np.asarray(ranking.order, dtype=np.int64), np.asarray(ranking.objective_trace)
+    return ranking.order, ranking.scores[ranking.order]
 
 
 def rank_features(dataset: Dataset, config: SelectorConfig) -> FeatureRanking:
@@ -154,7 +155,9 @@ def rank_features(dataset: Dataset, config: SelectorConfig) -> FeatureRanking:
     Deterministic for fixed inputs. Requires at least 2 features; the sifs
     variant additionally requires labels.
     """
-    return _energy_rankings(preprocess(dataset, config.resolved_preprocessing), [config])[0]
+    if config.variant not in GRAPHS:
+        raise ConfigError(f"variant {config.variant!r} does not produce a graph-energy ranking")
+    return rank_scaled(preprocess(dataset, config.resolved_preprocessing), [config])[config]
 
 
 def selection_order(dataset: Dataset, config: SelectorConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -165,4 +168,5 @@ def selection_order(dataset: Dataset, config: SelectorConfig) -> tuple[np.ndarra
     score attached to the feature at rank position ``p``: the energy score
     for graph variants, the greedy objective value for mrmr.
     """
-    return rank_scaled(preprocess(dataset, config.resolved_preprocessing), [config])[config]
+    scaled = preprocess(dataset, config.resolved_preprocessing)
+    return _by_rank(rank_scaled(scaled, [config])[config])

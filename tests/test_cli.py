@@ -148,6 +148,27 @@ class TestRankCommand:
         err = capsys.readouterr().err
         assert "'\\x1c2' at row 2, column 3" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name, text, fmt, message", [
+        ("bad.csv", "a,b,y\n1,2,0\n3,x,1\n", "csv", "non-numeric value 'x' at row 3, column 2 (b)"),
+        ("bad.svm", "1 1:0.5\n0.5 1:1.5\n", "libsvm", "non-integer label '0.5' at row 2, column 1"),
+        ("bad.svm", "1 1:0.5\n0 0:1.5\n", "libsvm", "line 2: index 0 < 1"),
+        ("one.csv", "a,b,y\n1,2,0\n", "csv", "dataset '{path}': need at least 2 samples, got 1"),
+    ], ids=["csv-cell", "libsvm-label", "libsvm-pair", "dataset"])
+    def test_load_error_names_the_file_once(self, tmp_path, labeled_csv, capsys,
+                                            name, text, fmt, message):
+        # The second file of eval is the bad one, so only the path tells which.
+        bad = tmp_path / name
+        bad.write_text(text)
+        good = labeled_csv
+        if fmt == "libsvm":
+            good = tmp_path / "good.svm"
+            good.write_text("1 1:0.5\n0 1:1.5\n1 1:0.1\n0 1:0.3\n")
+        code = main(["eval", str(good), str(bad), "--format", fmt, "--label-column", "y",
+                     "--output", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(message.format(path=bad) + "\n") and err.count(str(bad)) == 1
+
     def test_libsvm_input(self, tmp_path):
         p = tmp_path / "d.svm"
         p.write_text("1 1:0.5 2:1.0\n0 1:1.5 2:0.2\n1 1:0.1 2:1.1\n0 2:0.3\n")
@@ -358,6 +379,30 @@ class TestCompareCommand:
                      "--output", str(tmp_path / "cmp")]) == 0
         for variant in ("sifs", "mrmr"):
             assert main(["eval", labeled_csv, test_csv, "--variant", variant, *common,
+                         "--output", str(tmp_path / f"eval-{variant}")]) == 0
+            for ext in ("report.txt", "report.json"):
+                compared = (tmp_path / f"cmp.{variant}.{ext}").read_bytes()
+                assert compared == (tmp_path / f"eval-{variant}.{ext}").read_bytes()
+
+    @pytest.mark.parametrize("alpha", ["0.5", "cv"])
+    def test_multiclass_reports_have_no_auc_and_match_eval(self, tmp_path, alpha):
+        # Three classes fit one-vs-rest models, which have no AUC.
+        rng = np.random.default_rng(95)
+        paths = []
+        for name, n in (("train3.csv", 45), ("test3.csv", 30)):
+            y = np.arange(n) % 3
+            values = rng.normal(size=(n, 5))
+            values[:, 1] += y
+            paths.append(write_csv(tmp_path / name, values, labels=y))
+        variants = ("ifs", "mifs", "sifs", "mrmr") if alpha != "cv" else ("sifs", "mrmr")
+        common = ["--alpha", alpha, "--label-column", "y", "--n-grid", "2,4"]
+        assert main(["compare", *paths, *common, "--variants", ",".join(variants),
+                     "--output", str(tmp_path / "cmp")]) == 0
+        for variant in variants:
+            text = (tmp_path / f"cmp.{variant}.report.txt").read_text()
+            assert "accuracy_n4=" in text and "auc_n" not in text
+            assert '"per_n_auc": null' in (tmp_path / f"cmp.{variant}.report.json").read_text()
+            assert main(["eval", *paths, "--variant", variant, *common,
                          "--output", str(tmp_path / f"eval-{variant}")]) == 0
             for ext in ("report.txt", "report.json"):
                 compared = (tmp_path / f"cmp.{variant}.{ext}").read_bytes()

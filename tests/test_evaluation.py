@@ -83,6 +83,70 @@ class TestTrainLinear:
         assert np.mean(model.predict(x) == y) >= 0.95
 
 
+def fit_all_columns(x, y, cost):
+    """``_fit_classifiers`` on one problem that uses every column of ``x``."""
+    return evaluation._fit_classifiers([(x, np.arange(x.shape[1]), cost)], y)
+
+
+class TestTrainerArgumentErrors:
+    """Each way into the trainer rejects bad arguments with these exact
+    exceptions and messages."""
+
+    @pytest.mark.parametrize("fit", [train_linear, fit_classifier])
+    @pytest.mark.parametrize("x, y, message", [
+        (np.ones((5, 2)), [0, 1, 0, 1], "shape mismatch: x (5, 2) vs y (4,)"),
+        (np.ones((3, 2)), [0, 1, 0, 1], "shape mismatch: x (3, 2) vs y (4,)"),
+        (np.ones(4), [0, 1, 0, 1], "shape mismatch: x (4,) vs y (4,)"),
+        ([[1.0], [2.0]], [[0, 1], [1, 0], [0, 0]], "shape mismatch: x (2, 1) vs y (3, 2)"),
+    ])
+    def test_shape_mismatch(self, fit, x, y, message):
+        with pytest.raises(ValueError) as exc:
+            fit(x, y, 1.0)
+        assert str(exc.value) == message
+
+    def test_shape_mismatch_in_a_problem_list(self):
+        with pytest.raises(ValueError):
+            fit_all_columns(np.ones((5, 2)), np.array([0, 1, 0, 1]), 1.0)
+
+    @pytest.mark.parametrize("y, message", [
+        ([1, 1, 1, 1], "binary training needs exactly 2 classes, got 1"),
+        ([0, 1, 2, 1], "binary training needs exactly 2 classes, got 3"),
+    ])
+    def test_train_linear_class_count(self, y, message):
+        with pytest.raises(ValueError) as exc:
+            train_linear(np.ones((4, 2)), y, 1.0)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("fit", [fit_classifier, fit_all_columns])
+    def test_single_class(self, fit):
+        with pytest.raises(ValueError) as exc:
+            fit(np.ones((4, 2)), np.array([3, 3, 3, 3]), 1.0)
+        assert str(exc.value) == "training data contains a single class"
+
+    @pytest.mark.parametrize("fit, y", [
+        (train_linear, [0, 1, 0, 1]),
+        (fit_classifier, [0, 1, 0, 1]),
+        (fit_classifier, [0, 1, 2, 1]),
+        (fit_all_columns, [0, 1, 0, 1]),
+        (fit_all_columns, [0, 1, 2, 1]),
+    ])
+    @pytest.mark.parametrize("cost, message", [
+        (0.0, "cost must be positive, got 0.0"),
+        (-1, "cost must be positive, got -1"),
+    ])
+    def test_non_positive_cost(self, fit, y, cost, message):
+        with pytest.raises(ValueError) as exc:
+            fit(np.ones((4, 2)), np.array(y), cost)
+        assert str(exc.value) == message
+
+    def test_non_positive_cost_in_any_problem(self):
+        x, y = np.ones((4, 2)), np.array([0, 1, 0, 1])
+        problems = [(x, np.array([0]), 1.0), (x, np.array([1, 0]), 0.0)]
+        with pytest.raises(ValueError) as exc:
+            evaluation._fit_classifiers(problems, y)
+        assert str(exc.value) == "cost must be positive, got 0.0"
+
+
 TRAINER_KINDS = ("normal", "rounded", "constant column", "separable", "constant only")
 
 
@@ -166,6 +230,13 @@ class TestTrainLinearExactness:
         stops = {matches_reference(*args, epochs) for args in zip(results, xs, ys, costs)}
         # One stack mixes every way out of the loop its epoch cap allows.
         assert stops == ({"cap", "gradient", "no step"} if epochs == 200 else {"cap", "gradient"})
+
+    def test_batch_leaves_the_callers_stack_unchanged(self):
+        # Fits that stop early, most of the stack included, stay in place.
+        xs, ys, costs = trainer_batch(20, 3)
+        stack = xs.copy()
+        evaluation._train_linear_batch(stack, np.where(ys == 1, 1.0, -1.0), costs, 200)
+        assert stack.tobytes() == xs.tobytes()
 
     def test_batch_bitwise_equal_on_matrices_blas_may_thread(self):
         # 400 x 30 matrices are large enough for OpenBLAS to split a gemv

@@ -4,15 +4,18 @@ import pytest
 from oracles import inverse_route_scores, nmi, truncated_energy_scores, truncation_length
 
 from infinisel import (
+    BinningPolicy,
     ConfigError,
     Dataset,
     SelectorConfig,
     energy_scores,
+    mrmr_select,
     preprocess,
     rank_features,
     selection_order,
     spectral_radius,
 )
+from infinisel.scoring import rank_scaled
 
 
 def random_symmetric(rng, m):
@@ -260,3 +263,38 @@ class TestSelectionOrder:
         order, scores = selection_order(d, SelectorConfig(variant="mrmr"))
         assert sorted(order.tolist()) == list(range(5))
         assert scores.shape == (5,)
+
+    def test_rank_features_rejects_mrmr(self):
+        d = Dataset(np.arange(8.0).reshape(4, 2), labels=[0, 1, 0, 1])
+        with pytest.raises(ConfigError) as exc:
+            rank_features(d, SelectorConfig(variant="mrmr"))
+        assert str(exc.value) == "variant 'mrmr' does not produce a graph-energy ranking"
+
+
+class TestRankScaled:
+    def test_each_config_gets_the_ranking_it_gets_alone(self):
+        # One call over several variants, alphas and binnings shares measure
+        # blocks within each (variant, binning) group, and gives every config
+        # a FeatureRanking or, for mrmr, an MrmrSelection of every feature.
+        rng = np.random.default_rng(43)
+        y = rng.integers(0, 3, 40)
+        values = rng.normal(size=(40, 6))
+        values[:, [0, 3]] += y[:, None]
+        d = Dataset(values, labels=y)
+        configs = [
+            SelectorConfig(variant=variant, alpha=alpha, preprocessing="standardize",
+                           binning=BinningPolicy(kind, 4))
+            for kind in ("equal_frequency", "equal_width")
+            for variant in ("ifs", "mifs", "sifs", "mrmr")
+            for alpha in (0.2, 0.7)
+        ]
+        scaled = preprocess(d, "standardize")
+        rankings = rank_scaled(scaled, configs)
+        assert rankings.keys() == set(configs)
+        for config, ranking in rankings.items():
+            if config.variant == "mrmr":
+                assert ranking == mrmr_select(scaled, d.m, config.binning)
+            else:
+                alone = rank_features(d, config)
+                assert ranking.order.tobytes() == alone.order.tobytes()
+                assert ranking.scores.tobytes() == alone.scores.tobytes()
