@@ -7,6 +7,7 @@ with 1-based, strictly increasing indices. Loaded datasets are immutable.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import numbers
@@ -31,6 +32,16 @@ def _is_int64(v) -> bool:
     return isinstance(v, numbers.Integral) and -(2**63) <= int(v) < 2**63
 
 
+class _Fresh:
+    """A float64 matrix this package has just built for one ``Dataset``,
+    which freezes it in place rather than copying it."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An n-samples by m-features matrix with optional labels and names.
@@ -45,9 +56,12 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values is self.values:  # freeze a private copy, never the caller's array
-            values = values.copy()
+        if isinstance(self.values, _Fresh):
+            values = self.values.array
+        else:
+            values = np.asarray(self.values, dtype=np.float64)
+            if values is self.values:  # freeze a private copy, never the caller's array
+                values = values.copy()
         if values.ndim != 2:
             raise DataError(f"dataset '{self.name}': values must be 2-D, got shape {values.shape}")
         n, m = values.shape
@@ -129,10 +143,9 @@ class FeatureScaler:
     scale: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        out = values - self.shift
         nonzero = self.scale > 0
-        out[:, nonzero] /= self.scale[nonzero]
+        out = np.asarray(values, dtype=np.float64) - self.shift
+        np.divide(out, self.scale, out=out, where=nonzero)
         out[:, ~nonzero] = 0.0
         return out
 
@@ -168,7 +181,7 @@ def preprocess(dataset: Dataset, scheme: str) -> Dataset:
     non-trivial schemes. Labels and names are unchanged.
     """
     scaler = fit_scaler(dataset.values, scheme)
-    return dataset.with_values(scaler.apply(dataset.values))
+    return dataset.with_values(_Fresh(scaler.apply(dataset.values)))
 
 
 def _is_number(token: str) -> bool:
@@ -247,30 +260,74 @@ def _header(path: str, first_row: list[str], n_rows: int,
 
 # csv-module syntax (quotes, CR line ends, NUL) and the separators that numpy
 # strips as whitespace but float() rejects: text holding any of these is
-# parsed cell by cell.
-_CELLWISE = ('"', "\r", "\0", *_SEPARATORS)
+# parsed cell by cell. Each is one ASCII byte, which no other UTF-8
+# character contains.
+_CELLWISE = tuple(c.encode() for c in ('"', "\r", "\0", *_SEPARATORS))
+_CHUNK = 1 << 20  # bytes per read of the plain-file scan: one read up to 1 MiB
 
 
-def _parse_plain(path: str, text: str, label_column: str | None):
-    """Parse a plain numeric CSV text in one ``np.loadtxt`` call.
+def _scan(fh) -> int | None:
+    """One pass over a binary CSV file in ``_CHUNK``-byte reads.
+
+    Returns the count of non-empty lines, or None if the bytes after an
+    optional UTF-8 BOM are not UTF-8, hold a ``_CELLWISE`` byte, no
+    non-empty line, or a line longer than ``csv.field_size_limit()`` bytes.
+    Lines are found as newline offsets in each chunk; no Python object is
+    made per line.
+    """
+    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        fh.seek(0)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    limit = csv.field_size_limit()
+    lines, pos, last = 0, 0, -1  # last: offset of the last newline in the pos bytes read
+    try:
+        while chunk := fh.read(_CHUNK):
+            if any(c in chunk for c in _CELLWISE):
+                return None
+            decoder.decode(chunk)
+            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + pos
+            pos += len(chunk)
+            if ends.size:
+                lengths = np.diff(ends, prepend=last) - 1
+                if lengths.max() > limit:
+                    return None
+                lines += np.count_nonzero(lengths)
+                last = int(ends[-1])
+        decoder.decode(b"", True)
+    except UnicodeDecodeError:
+        return None
+    lines += pos - last > 1  # a last line with no newline
+    if not lines or pos - last - 1 > limit:
+        return None
+    return lines
+
+
+def _parse_plain(path: str, label_column: str | None):
+    """Parse a plain numeric CSV file in one ``np.loadtxt`` call, after a
+    streamed ``_scan`` of its bytes.
 
     Returns ``(header, label_idx, values, labels)``, or None whenever the
-    per-cell parse could read the text differently or would raise: it then
+    per-cell parse could read the file differently or would raise: it then
     words the error.
     """
-    if any(c in text for c in _CELLWISE):
+    with open(path, "rb") as fh:
+        n_lines = _scan(fh)
+    if n_lines is None:
         return None
-    lines = [line for line in text.split("\n") if line]
-    if not lines or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    first_row = lines[0].split(",")
-    header, label_idx = _header(path, first_row, len(lines), label_column)
-    data = lines[1:] if header is not None else lines
-    try:
-        table = np.loadtxt(data, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
-    if table.shape != (len(data), len(first_row)) or not np.isfinite(table).all():
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        first = fh.readline()
+        while first == "\n":
+            first = fh.readline()
+        first_row = first.rstrip("\n").split(",")
+        header, label_idx = _header(path, first_row, n_lines, label_column)
+        if header is None:
+            fh.seek(0)  # the first line is data
+        try:  # numpy reads the file line by line, skipping empty lines
+            table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
+    n_rows = n_lines - (header is not None)
+    if table.shape != (n_rows, len(first_row)) or not np.isfinite(table).all():
         return None
     labels = None
     if label_idx is not None:
@@ -326,25 +383,26 @@ def load_csv(path: str, label_column: str | None = None) -> Dataset:
     is parsed as integer class labels and excluded from the features.
     Error messages carry 1-based row/column coordinates.
 
-    A plain numeric file is parsed in one C pass (``np.loadtxt``). Quoted
-    cells, CR line ends, NUL and the control separators U+001C..U+001F,
-    over-long lines, labels at or above 2**53 in magnitude and any file
-    that fails to parse take the per-cell path, which reads the file again
-    and words every error.
+    A plain numeric file is first scanned as raw bytes in fixed-size
+    chunks (UTF-8 validity, the characters below, line count and length),
+    then parsed by ``np.loadtxt`` reading the open file line by line.
+    Memory peaks near twice the value matrix, or a few chunks for a small
+    file: the file's text is never held whole, nor all its lines at once.
+    Quoted cells, CR line ends, NUL and the control separators
+    U+001C..U+001F, non-UTF-8 bytes, lines longer than
+    ``csv.field_size_limit()`` bytes, labels at or above 2**53 in magnitude
+    and any file that fails to parse take the per-cell path, which reads
+    the file again and words every error.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        parsed = _parse_plain(path, label_column)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError:  # the per-cell reader reports the chunk-relative position
-        text = None
-    parsed = None if text is None else _parse_plain(path, text, label_column)
     header, label_idx, values, labels = parsed or _parse_cells(path, label_column)
     feature_names = None
     if header is not None:
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-    return Dataset(values, labels, feature_names, path)
+    return Dataset(_Fresh(values), labels, feature_names, path)
 
 
 def load_libsvm(path: str) -> Dataset:
@@ -406,4 +464,4 @@ def load_libsvm(path: str) -> Dataset:
         labels[r] = label
         for idx, val in pairs:
             values[r, idx - 1] = val
-    return Dataset(values, labels, None, path)
+    return Dataset(_Fresh(values), labels, None, path)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ALPHA_GRID, COST_GRID, SelectorConfig
-from .dataset import Dataset, fit_scaler
+from .dataset import Dataset, _Fresh, fit_scaler
 from .errors import ConfigError
 from .measures import _midranks
 from .scoring import _by_rank, rank_scaled
@@ -184,7 +184,7 @@ def _fit_classifiers(problems, y, epochs=DEFAULT_EPOCHS):
     for values, _, cost in problems:
         if values.ndim != 2 or values.shape[0] != y.shape[0]:
             raise ValueError(f"shape mismatch: x {values.shape} vs y {y.shape}")
-        if cost <= 0:
+        if not cost > 0:  # NaN too
             raise ValueError(f"cost must be positive, got {cost}")
     positives = classes[1:] if classes.size == 2 else classes
     fits = [(values, cols, y == c, cost) for values, cols, cost in problems for c in positives]
@@ -274,7 +274,7 @@ def _holdout(train: Dataset, test: Dataset, grid, n_eval):
     scaled, rankings = {}, {}
     for scheme in dict.fromkeys(config.resolved_preprocessing for config in configs):
         scaler = fit_scaler(train.values, scheme)
-        scaled_train = train.with_values(scaler.apply(train.values))
+        scaled_train = train.with_values(_Fresh(scaler.apply(train.values)))
         scaled[scheme] = (scaled_train.values, scaler.apply(test.values))
         group = [config for config in configs if config.resolved_preprocessing == scheme]
         rankings.update(rank_scaled(scaled_train, group))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infinisel import load_csv
+from infinisel import dataset, load_csv
 from oracles import load_csv_reference
 
 PLAIN = st.one_of(
@@ -95,3 +95,17 @@ def test_load_csv_equals_per_cell_reference(csv_path, case):
     csv_path.write_bytes(data)
     assert outcome(load_csv, str(csv_path), label_column) == \
         outcome(load_csv_reference, str(csv_path), label_column)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+@settings(max_examples=100, deadline=None)
+@given(csv_files())
+def test_load_csv_equals_reference_with_tiny_scan_chunks(csv_path, chunk, case):
+    # BOMs, multi-byte characters, runs of newlines, over-long lines and a
+    # bad UTF-8 byte all straddle the edges of the plain-file scan's reads.
+    data, label_column = case
+    csv_path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_CHUNK", chunk)
+        got = outcome(load_csv, str(csv_path), label_column)
+    assert got == outcome(load_csv_reference, str(csv_path), label_column)

@@ -1,12 +1,14 @@
 import csv
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from infinisel import dataset
-from infinisel import Dataset, DataError, fit_scaler, load_csv, load_libsvm, preprocess
+from infinisel import (Dataset, DataError, FeatureScaler, fit_scaler, load_csv, load_libsvm,
+                       preprocess)
 
 
 def write(path, text):
@@ -246,6 +248,26 @@ class TestLoadCsvBulkPass:
         assert d.feature_names == ("a", "b") and d.labels.tolist() == [0, 1]
         np.testing.assert_array_equal(d.values, [[1.0, 2.5], [-300.0, 4.0]])
 
+    def test_plain_file_peak_memory(self, tmp_path):
+        # The file's text is never held whole, nor one string per line, and
+        # no value matrix is copied twice: the traced peak stays near twice
+        # the matrix (the parsed table and its copy without the label).
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(5000, 40))
+        p = tmp_path / "d.csv"
+        with open(p, "w") as fh:
+            fh.write(",".join([f"f{i}" for i in range(40)] + ["y"]) + "\n")
+            for row, label in zip(values.tolist(), rng.integers(0, 2, 5000).tolist()):
+                fh.write(",".join(map(repr, row)) + f",{label}\n")
+        tracemalloc.start()
+        try:
+            d = load_csv(str(p), label_column="y")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.values.tobytes() == values.tobytes()
+        assert peak <= 3 * d.values.nbytes
+
 
 class TestLoadLibsvm:
     def test_basic(self, tmp_path):
@@ -387,3 +409,47 @@ class TestScalerOnNewData:
         scaler = fit_scaler(train, "normalize")
         out = scaler.apply(np.array([[5.0], [20.0]]))
         np.testing.assert_allclose(out[:, 0], [0.5, 2.0])
+
+
+def gather_scatter_apply(scaler, values):
+    """``FeatureScaler.apply`` as a gather, divide and scatter of columns."""
+    out = np.asarray(values, dtype=np.float64) - scaler.shift
+    nonzero = scaler.scale > 0
+    out[:, nonzero] /= scaler.scale[nonzero]
+    out[:, ~nonzero] = 0.0
+    return out
+
+
+class TestScalerCopies:
+    """Scaling divides in place, and every dataset the package builds holds
+    read-only values of its own."""
+
+    @pytest.mark.parametrize("scheme", ["normalize", "standardize"])
+    def test_apply_equals_gather_scatter(self, scheme):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(30, 6)) * rng.uniform(1e-3, 1e3, 6)
+        values[:, 1] = 4.0  # constant
+        values[:, 4] = -0.0  # constant, negative zeros
+        values[::3, 2] = -0.0
+        scaler = fit_scaler(values, scheme)
+        for data in (values, rng.normal(size=(7, 6)), -values):
+            assert scaler.apply(data).tobytes() == gather_scatter_apply(scaler, data).tobytes()
+
+    def test_apply_leaves_its_input_unchanged(self):
+        values = np.array([[1.0, 2.0], [3.0, 2.0]])
+        FeatureScaler("normalize", np.array([1.0, 2.0]), np.array([2.0, 0.0])).apply(values)
+        np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 2.0]])
+
+    @pytest.mark.parametrize("scheme", ["none", "normalize", "standardize"])
+    def test_preprocessed_values_are_private_and_read_only(self, scheme):
+        d = Dataset(np.arange(12.0).reshape(4, 3), labels=[0, 1, 0, 1])
+        out = preprocess(d, scheme)
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, d.values)
+
+    def test_loaded_values_are_read_only(self, tmp_path):
+        d = load_csv(write(tmp_path / "d.csv", "a,y,b\n1,0,2.5\n-3e2,1,4\n"), label_column="y")
+        assert not d.values.flags.writeable and not d.labels.flags.writeable
+        out = preprocess(d, "standardize")
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, d.values)

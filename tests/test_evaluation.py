@@ -146,6 +146,14 @@ class TestTrainerArgumentErrors:
             evaluation._fit_classifiers(problems, y)
         assert str(exc.value) == "cost must be positive, got 0.0"
 
+    @pytest.mark.parametrize("fit", [train_linear, fit_classifier, fit_all_columns])
+    def test_nan_cost(self, fit):
+        # NaN <= 0 is false: a NaN cost once trained a zero classifier
+        # whose objective history was (nan,).
+        with pytest.raises(ValueError) as exc:
+            fit(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 0, 1]), float("nan"))
+        assert str(exc.value) == "cost must be positive, got nan"
+
 
 TRAINER_KINDS = ("normal", "rounded", "constant column", "separable", "constant only")
 
