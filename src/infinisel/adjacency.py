@@ -54,6 +54,21 @@ GRAPHS = {
 }
 
 
+def _checked_matrix(a) -> np.ndarray:
+    """``a`` as float64, checked square, finite, exactly symmetric and nonnegative."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"adjacency must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("adjacency entries must be finite")
+    if not np.array_equal(a, a.T):
+        raise ValueError("adjacency must be exactly symmetric")
+    lo = a.min()
+    if lo < -1e-9:
+        raise ValueError("adjacency entries must be nonnegative")
+    return np.clip(a, 0.0, None) if lo < 0 else a  # absorb float-accumulation dust
+
+
 @dataclass(frozen=True)
 class AdjacencyMatrix:
     """Symmetric nonnegative matrix of pairwise feature energies."""
@@ -63,18 +78,7 @@ class AdjacencyMatrix:
     alpha: float
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("adjacency entries must be finite")
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be exactly symmetric")
-        if a.min() < -1e-9:
-            raise ValueError("adjacency entries must be nonnegative")
-        if a.min() < 0:
-            a = np.clip(a, 0.0, None)  # absorb float-accumulation dust
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _checked_matrix(self.a))
 
     @property
     def m(self) -> int:

@@ -32,18 +32,12 @@ def _parse_alpha(text: str, allow_cv: bool):
         raise ConfigError(f"--alpha must be a number in [0, 1] or 'cv', got {text!r}") from None
 
 
-def _parse_float(text: str, flag: str) -> float:
+def _parse_number(text: str, flag: str, kind=float):
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"{flag} must be a number, got {text!r}") from None
-
-
-def _parse_int(text: str, flag: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{flag} must be an integer, got {text!r}") from None
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{flag} must be {noun}, got {text!r}") from None
 
 
 def _parse_n_grid(text: str) -> tuple[int, ...]:
@@ -65,13 +59,13 @@ def _configs_from_args(args, variants, allow_cv: bool) -> tuple[list[SelectorCon
         SelectorConfig(
             variant=variant,
             alpha=_parse_alpha(args.alpha, allow_cv),
-            c=_parse_float(args.c, "--c"),
+            c=_parse_number(args.c, "--c"),
             preprocessing=args.preprocess,
-            binning=BinningPolicy(binning_kind, _parse_int(args.bins, "--bins")),
+            binning=BinningPolicy(binning_kind, _parse_number(args.bins, "--bins", int)),
         )
         for variant in variants
     ]
-    seed = _parse_int(args.seed, "--seed")
+    seed = _parse_number(args.seed, "--seed", int)
     if seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     return configs, seed
@@ -226,10 +220,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -11,6 +11,7 @@ import codecs
 import csv
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -410,58 +411,62 @@ def load_libsvm(path: str) -> Dataset:
 
     Indices are 1-based and must be strictly increasing within a line;
     absent indices are zero-filled. The width is the maximum index seen.
+    One streamed pass fills flat buffers, one indexed assignment the zero
+    matrix: a half-dense file peaks near 2.6× its matrix. A matrix too large
+    to allocate is a ``DataError``.
     """
+    labels, counts, cols, vals = array("q"), array("q"), array("q"), array("d")
+    width = 0
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
+            for lineno, line in enumerate(fh, start=1):
+                tokens = line.split()
+                if not tokens:
+                    continue
+                labels.append(_parse_label(tokens[0], lineno, 1))
+                prev = 0
+                for tok in tokens[1:]:
+                    idx_str, sep, val_str = tok.partition(":")
+                    if not sep:
+                        raise DataError(f"{path}: line {lineno}: malformed pair {tok!r}")
+                    try:
+                        idx = int(idx_str)
+                    except ValueError:
+                        raise DataError(f"{path}: line {lineno}: bad index in {tok!r}") from None
+                    if idx < 1:
+                        raise DataError(f"{path}: line {lineno}: index {idx} < 1")
+                    if idx <= prev:
+                        raise DataError(
+                            f"{path}: line {lineno}: index {idx} not increasing (previous {prev})"
+                        )
+                    try:
+                        val = float(val_str)
+                    except ValueError:
+                        raise DataError(f"{path}: line {lineno}: bad value in {tok!r}") from None
+                    if not math.isfinite(val):
+                        raise DataError(f"{path}: line {lineno}: non-finite value in {tok!r}")
+                    try:
+                        cols.append(idx - 1)
+                    except OverflowError:  # past int64: the allocation below rejects the width
+                        cols.append(0)
+                    vals.append(val)
+                    prev = idx
+                width = max(width, prev)
+                counts.append(len(tokens) - 1)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
-    parsed: list[tuple[int, list[tuple[int, float]]]] = []
-    max_idx = 0
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        label = _parse_label(tokens[0], lineno, 1)
-        pairs: list[tuple[int, float]] = []
-        prev = 0
-        for tok in tokens[1:]:
-            idx_str, sep, val_str = tok.partition(":")
-            if not sep:
-                raise DataError(f"{path}: line {lineno}: malformed pair {tok!r}")
-            try:
-                idx = int(idx_str)
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad index in {tok!r}") from None
-            if idx < 1:
-                raise DataError(f"{path}: line {lineno}: index {idx} < 1")
-            if idx <= prev:
-                raise DataError(
-                    f"{path}: line {lineno}: index {idx} not increasing (previous {prev})"
-                )
-            try:
-                val = float(val_str)
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad value in {tok!r}") from None
-            if not math.isfinite(val):
-                raise DataError(f"{path}: line {lineno}: non-finite value in {tok!r}")
-            pairs.append((idx, val))
-            prev = idx
-        max_idx = max(max_idx, prev)
-        parsed.append((label, pairs))
-
-    if not parsed:
+    if not labels:
         raise DataError(f"{path}: empty file")
-    if max_idx == 0:
+    if width == 0:
         raise DataError(f"{path}: no feature values in any line")
-
-    values = np.zeros((len(parsed), max_idx))
-    labels = np.empty(len(parsed), dtype=np.int64)
-    for r, (label, pairs) in enumerate(parsed):
-        labels[r] = label
-        for idx, val in pairs:
-            values[r, idx - 1] = val
-    return Dataset(_Fresh(values), labels, None, path)
+    try:
+        values = np.zeros((len(labels), width))
+    except (MemoryError, ValueError):  # ValueError: a size past what numpy can address
+        raise DataError(f"{path}: cannot allocate the {len(labels)} x {width} value matrix "
+                        f"({8 * len(labels) * width} bytes)") from None
+    values[np.repeat(np.arange(len(labels)), counts), cols] = np.frombuffer(vals)
+    del cols, vals  # before Dataset's checks add their temporaries
+    return Dataset(_Fresh(values), np.frombuffer(labels, dtype=np.int64), None, path)

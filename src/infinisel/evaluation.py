@@ -330,7 +330,7 @@ def cross_validate(
 
     scores = np.zeros(len(config_grid))
     for fold in range(folds):
-        train, val = (Dataset(dataset.values[rows], dataset.labels[rows], dataset.feature_names)
+        train, val = (Dataset(_Fresh(dataset.values[rows]), dataset.labels[rows], dataset.feature_names)
                       for rows in (assignment != fold, assignment == fold))
         results, _ = _holdout(train, val, config_grid, n_eval)
         for pos, per_n in enumerate(results):

@@ -26,8 +26,10 @@ with ``math.fsum`` for the rare row it cannot certify).
 Blocks, scalar measures, label relevance, ``rdn`` and mRMR (which reads the
 raw MI block) all call the kernel, so a block cell is bitwise equal to its
 scalar measure, and every histogram sum equals ``math.fsum`` of its terms:
-measures are exactly symmetric. The std block is one reduction over the
-transposed matrix, bitwise equal to ``feature_std``.
+measures are exactly symmetric. ``rdn`` sums the NMI block's rows left to
+right with its diagonal zeroed, as the scalar ``rdn`` sums its one column.
+The std block is one reduction over the transposed matrix, bitwise equal
+to ``feature_std``.
 """
 
 from __future__ import annotations
@@ -427,12 +429,14 @@ def _pair_block(table: _MiTable, pairs) -> np.ndarray:
     return block
 
 
-def _mean_redundancy(others) -> float:
-    # One left-to-right sum for the rdn block and scalar rdn(); 0 if alone.
-    acc = 0.0
-    for value in others:
-        acc += value
-    return acc / len(others) if len(others) else 0.0
+def _rdn(nmi: np.ndarray) -> np.ndarray:
+    # Each column's mean over its other m − 1 cells, its own cell being 0.0:
+    # rows add left to right, bitwise the loop over j != i, since adding +0.0
+    # to a nonnegative sum is exact. 0 for a lone feature.
+    acc = np.zeros(nmi.shape[1])
+    for row in nmi:
+        acc += row
+    return acc / max(len(nmi) - 1, 1)
 
 
 def _column_pair(pairs, x: np.ndarray, y: np.ndarray, policy: BinningPolicy) -> float:
@@ -460,8 +464,9 @@ def rdn(dataset: Dataset, i: int, policy: BinningPolicy) -> float:
     if m < 2:
         raise ValueError("redundancy is undefined for a single feature")
     table = _mi_table(dataset.values, policy)
-    others = np.delete(np.arange(m), i)
-    return _mean_redundancy(_nmi_pairs(table, others, table, np.full(m - 1, i)).tolist())
+    column = _nmi_pairs(table, np.arange(m), table, np.full(m, i))
+    column[i] = 0.0
+    return float(_rdn(column[:, None])[0])
 
 
 def relevance_to_labels(dataset: Dataset, i: int, policy: BinningPolicy) -> float:
@@ -498,7 +503,7 @@ def build_measure_cache(
         table = _mi_table(values, policy, ranks)
     if need_mi_matrix:
         mi_block = _pair_block(table, _nmi_pairs)
-        rdn_block = np.array([_mean_redundancy(np.delete(r, i)) for i, r in enumerate(mi_block)])
+        rdn_block = _rdn(np.where(np.eye(len(mi_block), dtype=bool), 0.0, mi_block))
     if need_relevance:
         relevance_block = _label_pairs(_nmi_pairs, table, dataset.labels)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import GRAPHS, AdjacencyMatrix, build_adjacency
+from .adjacency import GRAPHS, AdjacencyMatrix, _checked_matrix, build_adjacency
 from .config import SelectorConfig
 from .dataset import Dataset, preprocess
 from .errors import ConfigError
@@ -40,12 +40,7 @@ class FeatureRanking:
 
 
 def _as_matrix(a) -> np.ndarray:
-    if isinstance(a, AdjacencyMatrix):
-        return a.a
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
+    return a.a if isinstance(a, AdjacencyMatrix) else _checked_matrix(a)
 
 
 def spectral_radius(a, tol: float = 1e-10, max_iter: int = 10000) -> float:
@@ -53,16 +48,15 @@ def spectral_radius(a, tol: float = 1e-10, max_iter: int = 10000) -> float:
 
     Power iteration from the all-ones vector, which cannot be orthogonal to
     the dominant eigenvector of a nonnegative matrix. Returns 0 for the
-    zero matrix so callers can short-circuit. Raises RuntimeError if the
-    estimate has not stabilized to relative tolerance ``tol`` within
-    ``max_iter`` iterations.
+    zero matrix so callers can short-circuit. Raises ValueError if a plain
+    array fails ``AdjacencyMatrix``'s checks, RuntimeError if the estimate
+    has not stabilized to relative tolerance ``tol`` within ``max_iter``
+    iterations.
     """
     a = _as_matrix(a)
     m = a.shape[0]
     if m == 1:
         return abs(float(a[0, 0]))
-    if not a.any():
-        return 0.0
     v = np.full(m, 1.0 / np.sqrt(m))
     estimate = 0.0
     for _ in range(max_iter):
@@ -86,16 +80,16 @@ def energy_scores(a, c: float = 0.9) -> FeatureRanking:
     score vector is ``y - 1``. A zero matrix (every feature constant)
     yields all-zero scores and the identity ordering, with a warning.
     """
-    a = _as_matrix(a)
+    matrix = _as_matrix(a)
     if not 0.0 < c < 1.0:
         raise ValueError(f"regularization fraction c must be in (0, 1), got {c}")
-    m = a.shape[0]
-    rho = spectral_radius(a)
+    m = matrix.shape[0]
+    rho = spectral_radius(a)  # the caller's a: an AdjacencyMatrix is not checked again
     if rho == 0.0:
         warnings.warn("zero adjacency matrix: all energy scores are 0, ranking by index")
         return FeatureRanking(np.arange(m), np.zeros(m), 0.0, 0.0)
-    lo = float(a.min())
-    if lo > 0.0 and lo == float(a.max()):
+    lo = float(matrix.min())
+    if lo > 0.0 and lo == float(matrix.max()):
         # Exactly constant matrix (e.g. standardized data with a pure
         # relevance mix): rank one, so the solve reduces to the scalar
         # geometric series and every feature scores c / (1 - c) exactly.
@@ -103,7 +97,7 @@ def energy_scores(a, c: float = 0.9) -> FeatureRanking:
         return FeatureRanking(np.arange(m), np.full(m, c / (1.0 - c)), c / rho, rho)
     r = c / rho
     try:
-        y = np.linalg.solve(np.eye(m) - r * a, np.ones(m))
+        y = np.linalg.solve(np.eye(m) - r * matrix, np.ones(m))
     except np.linalg.LinAlgError as exc:  # cannot happen while r*rho < 1
         raise RuntimeError(f"energy score system is singular: {exc}") from None
     scores = y - 1.0

@@ -329,6 +329,49 @@ class TestLoadLibsvm:
             load_libsvm(p)
         assert str(info.value).count(p) == 1
 
+    @pytest.mark.parametrize("index", [99999999999999, 2**63 + 1, 10**30])
+    def test_unallocatable_width_is_a_data_error(self, tmp_path, index):
+        # Two rows of 99999999999999 float64 cells need more than 2**47
+        # bytes, beyond any x86-64 user address space; the larger indices
+        # do not fit int64 at all. None of them is ever allocated.
+        p = write(tmp_path / "wide.svm", f"1 1:0.5 {index}:1\n0 1:1\n")
+        with pytest.raises(DataError, match=re.escape(f"{p}: cannot allocate the 2 x {index} value matrix")):
+            load_libsvm(p)
+
+    def test_overflowing_index_does_not_hide_a_later_fault(self, tmp_path):
+        p = write(tmp_path / "wide.svm", f"1 1:0.5 {2**64}:1\n0 1:x\n")
+        with pytest.raises(DataError, match="line 2: bad value"):
+            load_libsvm(p)
+
+    def test_fault_before_a_non_utf8_byte_is_reported(self, tmp_path):
+        # The file is decoded as it is read, line by line, so a malformed
+        # line ahead of the first bad byte is what the error names.
+        p = tmp_path / "d.svm"
+        p.write_bytes(b"1 1:0.5 7\n" + b"0 1:1\n" * 5000 + b"0 1:\xe9\n")
+        with pytest.raises(DataError, match="line 1: malformed pair '7'"):
+            load_libsvm(str(p))
+
+    def test_peak_memory_of_a_half_dense_file(self, tmp_path):
+        # One streamed pass into flat buffers: the matrix plus 24 bytes an
+        # entry, about 2.6x here. Lines, pairs and tuples held whole took 9.1x.
+        rng = np.random.default_rng(520)
+        values = np.where(rng.random((1000, 200)) < 0.5, rng.normal(size=(1000, 200)), 0.0)
+        labels = rng.integers(0, 2, 1000)
+        p = tmp_path / "half.svm"
+        with open(p, "w") as fh:
+            for label, row in zip(labels.tolist(), values.tolist()):
+                pairs = [f"{j + 1}:{v!r}" for j, v in enumerate(row) if v != 0.0]
+                fh.write(" ".join([str(label)] + pairs) + "\n")
+        tracemalloc.start()
+        try:
+            d = load_libsvm(str(p))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.values.tobytes() == values.tobytes()
+        assert d.labels.tolist() == labels.tolist()
+        assert peak <= 5 * d.values.nbytes
+
 
 class TestPreprocess:
     def test_normalize_affine_map(self):

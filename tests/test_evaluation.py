@@ -627,6 +627,27 @@ class TestCrossValidate:
             _, single = cross_validate(d, [entry], folds=3, seed=2, n_grid=(2, 4))
             assert scores[pos].tobytes() == single[0].tobytes()
 
+    def test_fold_build_copies_each_fold_once(self, monkeypatch):
+        # dataset.values[rows] is a fresh array that Dataset keeps, and only
+        # its std check adds a temporary: 1.7x the full matrix here. A second
+        # copy of the fold took 2.5x.
+        class FirstFold(Exception):
+            pass
+
+        def first_fold(train, val, grid, n_eval):
+            raise FirstFold(tracemalloc.get_traced_memory()[1])
+
+        rng = np.random.default_rng(85)
+        d = labeled_dataset(rng, 4000, 40)
+        monkeypatch.setattr(evaluation, "_holdout", first_fold)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstFold) as info:
+                cross_validate(d, [(SelectorConfig(variant="ifs", alpha=0.5), 1.0)], folds=5)
+        finally:
+            tracemalloc.stop()
+        assert info.value.args[0] <= 2.1 * d.values.nbytes
+
     def test_each_distinct_fit_runs_once(self, monkeypatch):
         # A repeated entry, and alphas that may rank the same top-N columns,
         # must not refit a classifier: one fit per distinct training matrix

@@ -299,10 +299,19 @@ class TestMeasureCache:
                     assert cache.mi[i, j] == pair_nmi
                     assert cache.spearman[i, j] == spearman(d.values[:, i], d.values[:, j])
 
-    def test_rdn_matches_brute_force_exactly(self):
+    @pytest.mark.parametrize("kind", ["normal", "tied", "wide", "single"])
+    def test_rdn_matches_brute_force_exactly(self, kind):
         rng = np.random.default_rng(19)
-        d = Dataset(rng.normal(size=(25, 6)))
+        values = rng.normal(size=(25, {"wide": 60, "single": 1}.get(kind, 6)))
+        if kind == "tied":  # a constant column, a duplicate and a rounded one
+            values[:, 1] = 2.0
+            values[:, 2] = values[:, 0]
+            values[:, 3] = np.round(values[:, 3])
+        d = Dataset(values)
         cache = build_measure_cache(d, POLICY, need_mi_matrix=True)
+        if kind == "single":
+            assert cache.rdn.tolist() == [0.0]
+            return
         for i in range(d.m):
             acc = 0.0
             for j in range(d.m):
@@ -444,9 +453,16 @@ def test_spearman_block_leaves_no_blas_worker_spinning():
     package_root = str(Path(infinisel.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
            "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", SPIN_PROBE], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 0.020
+    # Another process loading the host can push one probe over the bound; a
+    # spinning worker pushes every probe over it.
+    readings = []
+    for _ in range(3):
+        proc = subprocess.run([sys.executable, "-c", SPIN_PROBE], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        readings.append(float(proc.stdout))
+        if readings[-1] < 0.020:
+            break
+    assert min(readings) < 0.020, readings
 
 
 class TestMidranks:

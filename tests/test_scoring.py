@@ -48,6 +48,29 @@ class TestSpectralRadius:
             spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]]), max_iter=1)
 
 
+class TestPlainMatrixChecks:
+    # A plain array gets the checks an AdjacencyMatrix runs on construction.
+    @pytest.mark.parametrize("a, message", [
+        ([[0.0, -1.0], [-1.0, 0.0]], "nonnegative"),
+        ([[0.0, 1.0], [0.2, 0.0]], "symmetric"),
+        ([[0.0, np.inf], [np.inf, 0.0]], "finite"),
+        ([[1.0, 2.0]], "square"),
+    ], ids=["negative", "asymmetric", "infinite", "not-square"])
+    @pytest.mark.parametrize("function", [spectral_radius, energy_scores])
+    def test_rejected(self, function, a, message):
+        with pytest.raises(ValueError, match=message):
+            function(np.array(a))
+
+    def test_accumulation_dust_reads_zero(self):
+        a = np.array([[1.0, -1e-12], [-1e-12, 1.0]])
+        assert spectral_radius(a) == 1.0
+        np.testing.assert_array_equal(energy_scores(a).scores, energy_scores(np.eye(2)).scores)
+
+    def test_tiny_entries_underflow_to_a_zero_radius(self):
+        # sqrt(x**2) underflows to 0 for x = 1e-200: the norm == 0 exit.
+        assert spectral_radius(np.array([[0.0, 1e-200], [1e-200, 0.0]])) == 0.0
+
+
 class TestTruncatedScores:
     def test_single_hop_is_row_sums(self):
         rng = np.random.default_rng(31)
