@@ -12,11 +12,11 @@ import functools
 import sys
 
 from .config import SELECTOR_VARIANTS, SelectorConfig
-from .dataset import Dataset, load_csv, load_libsvm
+from .dataset import Dataset, load_csv, load_libsvm, preprocess
 from .errors import ConfigError, DataError
 from .evaluation import DEFAULT_N_GRID, _evaluate
 from .measures import BinningPolicy
-from .scoring import selection_order
+from .scoring import _by_rank, rank_scaled
 
 _BINNING_NAMES = {"width": "equal_width", "frequency": "equal_frequency"}
 
@@ -106,9 +106,11 @@ def _write(path: str, text: str) -> None:
 
 def cmd_rank(args) -> int:
     [config], _ = _configs_from_args(args, [args.variant], allow_cv=False)
-    dataset = _load_dataset(args.input, args)
-    order, scores = selection_order(dataset, config)
-    _write(args.output, _ranking_lines(dataset, order, scores))
+    # selection_order's steps, with the raw matrix freed once it is scaled,
+    # before ranking: ``scaled`` carries the same names.
+    scaled = preprocess(_load_dataset(args.input, args), config.resolved_preprocessing)
+    order, scores = _by_rank(rank_scaled(scaled, [config])[config])
+    _write(args.output, _ranking_lines(scaled, order, scores))
     return 0
 
 

@@ -33,6 +33,20 @@ def _is_int64(v) -> bool:
     return isinstance(v, numbers.Integral) and -(2**63) <= int(v) < 2**63
 
 
+# Budget of one tile's temporaries. Per-column work runs over tiles of
+# columns (``_column_tiles``) and the MI kernel over tiles of pairs, so no
+# step holds a temporary the size of the matrix. Tiles of 1 MB left the
+# heap ~0.6 MB larger at n=500, m=60, with no speed gain.
+_TILE_BYTES = 768 << 10
+
+
+def _column_tiles(n: int, m: int, tile_bytes: int) -> list[slice]:
+    """Slices of consecutive columns covering all ``m``, each as wide as an
+    n-row float64 block within ``tile_bytes`` allows, and one column at least."""
+    width = max(tile_bytes // (8 * n), 1)
+    return [slice(a, min(a + width, m)) for a in range(0, m, width)]
+
+
 class _Fresh:
     """A float64 matrix this package has just built for one ``Dataset``,
     which freezes it in place rather than copying it."""
@@ -70,17 +84,23 @@ class Dataset:
             raise DataError(f"dataset '{self.name}': need at least 2 samples, got {n}")
         if m < 1:
             raise DataError(f"dataset '{self.name}': need at least 1 feature, got {m}")
-        if not np.all(np.isfinite(values)):
+        # min and max are finite exactly when every value is (NaN propagates).
+        with np.errstate(invalid="ignore"):
+            finite = np.isfinite(values.min()) and np.isfinite(values.max())
+        if not finite:
             bad = np.argwhere(~np.isfinite(values))[0]
             raise DataError(
                 f"dataset '{self.name}': non-finite value at sample {bad[0]}, feature {bad[1]}"
             )
-        # A finite std bounds every deviation, so scaling and measures stay finite.
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite_std = np.isfinite(values.std(axis=0))
-        if not finite_std.all():
-            raise DataError(f"dataset '{self.name}': standard deviation of feature "
-                            f"{np.argmin(finite_std)} overflows float64")
+        # A finite std bounds every deviation, so scaling and measures stay
+        # finite. Each is reduced as feature_std() reduces its column, on one
+        # tile of transposed columns at a time: no temporary the size of the matrix.
+        for tile in _column_tiles(n, m, _TILE_BYTES):
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite_std = np.isfinite(np.ascontiguousarray(values[:, tile].T).std(axis=1))
+            if not finite_std.all():
+                raise DataError(f"dataset '{self.name}': standard deviation of feature "
+                                f"{tile.start + np.argmin(finite_std)} overflows float64")
         object.__setattr__(self, "values", _readonly(values))
 
         if self.labels is not None:
@@ -411,9 +431,10 @@ def load_libsvm(path: str) -> Dataset:
 
     Indices are 1-based and must be strictly increasing within a line;
     absent indices are zero-filled. The width is the maximum index seen.
-    One streamed pass fills flat buffers, one indexed assignment the zero
-    matrix: a half-dense file peaks near 2.6× its matrix. A matrix too large
-    to allocate is a ``DataError``.
+    One streamed pass fills flat buffers, then a few indexed assignments,
+    one per chunk of rows, fill the zero matrix: a half-dense file peaks
+    near 2.1× its matrix, a dense one near 3.15×. A matrix too large to
+    allocate is a ``DataError``.
     """
     labels, counts, cols, vals = array("q"), array("q"), array("q"), array("d")
     width = 0
@@ -467,6 +488,15 @@ def load_libsvm(path: str) -> Dataset:
     except (MemoryError, ValueError):  # ValueError: a size past what numpy can address
         raise DataError(f"{path}: cannot allocate the {len(labels)} x {width} value matrix "
                         f"({8 * len(labels) * width} bytes)") from None
-    values[np.repeat(np.arange(len(labels)), counts), cols] = np.frombuffer(vals)
+    # In chunks of consecutive rows, each closed once it holds a 256th of
+    # the entries: a chunk's row index is a 256th of the column buffer plus
+    # one row at most, and the chunks are too few to cost time.
+    cols, vals = np.frombuffer(cols, dtype=np.int64), np.frombuffer(vals)
+    step, first, start, end = len(vals) // 256 + 1, 0, 0, 0
+    for row, count in enumerate(counts, start=1):
+        end += count
+        if end - start >= step or row == len(counts):
+            values[np.repeat(np.arange(first, row), counts[first:row]), cols[start:end]] = vals[start:end]
+            first, start = row, end
     del cols, vals  # before Dataset's checks add their temporaries
     return Dataset(_Fresh(values), np.frombuffer(labels, dtype=np.int64), None, path)

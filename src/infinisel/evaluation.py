@@ -105,48 +105,53 @@ def _train_linear_batch(xs, targets, costs, epochs):
     p, n, k = xs.shape
     t = np.asarray(targets, dtype=np.float64)
     lam = 1.0 / np.asarray(costs, dtype=np.float64)
+    # The p × n round arrays, written in place by every round.
+    margins, hinge, active = np.empty((p, n, 1)), np.empty((p, n)), np.empty((p, n))
+    below = np.empty((p, n), dtype=bool)
 
-    def objective(w, b):
-        margins = np.matmul(xs, w[:, :, None])[:, :, 0]
-        margins += b[:, None]
-        margins *= t
-        hinge = 1.0 - margins
+    def objective(w, b):  # fills margins (p × n) and hinge
+        np.matmul(xs, w[:, :, None], out=margins)
+        rows = margins[:, :, 0]
+        rows += b[:, None]
+        rows *= t
+        np.subtract(1.0, rows, out=hinge)
         np.maximum(0.0, hinge, out=hinge)
         penalty = 0.5 * lam * np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
-        return penalty + np.add.reduce(hinge, axis=1) / n, margins
+        return penalty + np.add.reduce(hinge, axis=1) / n
 
-    def gradient(w, margins):  # at (w, b), from the margins of its objective call
-        active = t * (margins < 1.0)
+    def gradient(w):  # at (w, b), from the margins of its objective call
+        np.less(margins[:, :, 0], 1.0, out=below)
+        np.multiply(t, below, out=active)  # ±0.0 where inactive, as t * (margins < 1)
         gw = lam[:, None] * w - np.matmul(active[:, None, :], xs)[:, 0, :] / n
         gb = -np.add.reduce(active, axis=1) / n
         return gw, gb, np.matmul(gw[:, None, :], gw[:, :, None])[:, 0, 0] + gb * gb
 
     w, b = np.zeros((p, k)), np.zeros(p)
-    obj, margins = objective(w, b)
+    obj = objective(w, b)
     histories = [[value] for value in obj.tolist()]
     done = np.zeros(p, dtype=np.intp)  # accepted epochs
     step = np.full(p, 2.0)  # the first epoch doubles the unit step
-    gw, gb, norm2 = gradient(w, margins)
+    gw, gb, norm2 = gradient(w)
     live = ~(norm2 <= 1e-24) & (epochs > 0)
     while live.any():
         w_new, b_new = w - step[:, None] * gw, b - step * gb
-        obj_new, margins = objective(w_new, b_new)
+        obj_new = objective(w_new, b_new)
         accepted = live & (obj_new < obj)
         rejected = live & ~accepted
-        w = np.where(accepted[:, None], w_new, w)
-        b = np.where(accepted, b_new, b)
-        obj = np.where(accepted, obj_new, obj)
+        np.copyto(w, w_new, where=accepted[:, None])
+        np.copyto(b, b_new, where=accepted)
+        np.copyto(obj, obj_new, where=accepted)
         done += accepted
         for i, value in zip(np.flatnonzero(accepted).tolist(), obj_new[accepted].tolist()):
             histories[i].append(value)
-        step = np.where(rejected, step * 0.5, step)
+        np.multiply(step, 0.5, out=step, where=rejected)
         live &= ~(rejected & (step <= 1e-18)) & (done < epochs)
         moved = accepted & live
         if moved.any():
-            gw_new, gb_new, norm2 = gradient(w, margins)
-            gw = np.where(moved[:, None], gw_new, gw)
-            gb = np.where(moved, gb_new, gb)
-            step = np.where(moved, np.minimum(step * 2.0, 1e6), step)
+            gw_new, gb_new, norm2 = gradient(w)
+            np.copyto(gw, gw_new, where=moved[:, None])
+            np.copyto(gb, gb_new, where=moved)
+            np.copyto(step, np.minimum(step * 2.0, 1e6), where=moved)
             live &= ~(moved & (norm2 <= 1e-24))
     return [(w[i], float(b[i]), tuple(histories[i])) for i in range(p)]
 

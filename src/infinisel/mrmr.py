@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError
-from .measures import BinningPolicy, _label_pairs, _mi_pairs, _mi_table, _pair_block
+from .measures import BinningPolicy, _code_type, _label_pairs, _mi_pairs, _mi_table, _pair_block
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def mrmr_select(dataset: Dataset, k: int, policy: BinningPolicy) -> MrmrSelectio
     if not 1 <= k <= m:
         raise ConfigError(f"k must be in [1, {m}], got {k}")
 
-    table = _mi_table(dataset.values, policy)
+    table = _mi_table(dataset.values, policy, dtype=_code_type(policy, dataset.n))
     relevance = _label_pairs(_mi_pairs, table, dataset.labels)
     mi = _pair_block(table, _mi_pairs)  # raw MI of every pair; it is exactly symmetric
 

@@ -8,7 +8,10 @@ through truncated path sums. CSV files are read by ``csv.reader`` and
 parsed cell by cell. Mutual information also has the per-pair loop the
 vectorised kernel replaced: one ``np.bincount`` and one ``math.fsum`` per
 pair, its bitwise reference; and bin codes the per-column discretization
-that the one-pass ``_discretize`` replaced.
+that the one-pass ``_discretize`` replaced. ``midranks_untiled`` and
+``discretize_untiled`` rank and bin every column in one pass, as the
+column-tiled ``_midranks`` and ``_discretize`` did before they were tiled:
+their bitwise references.
 """
 
 import csv
@@ -215,6 +218,60 @@ def discretize_reference(x: np.ndarray, ranks: np.ndarray, policy: BinningPolicy
     else:
         codes = np.floor((ranks + n) / 2 / n * bins).astype(np.int64)
     return np.clip(codes, 0, bins - 1), bins
+
+
+def midranks_untiled(values: np.ndarray) -> np.ndarray:
+    """``_midranks`` in one pass over all columns, in int64."""
+    rows = np.ascontiguousarray(values.T)
+    m, n = rows.shape
+    order = np.argsort(rows, axis=1)
+    ordered = np.take_along_axis(rows, order, axis=1)
+    edge = np.ones((m, n + 1), dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=edge[:, 1:n])
+    k = np.arange(n + 1, dtype=np.int64)
+    starts = np.where(edge, k, 0)
+    np.maximum.accumulate(starts, axis=1, out=starts)
+    ends = np.where(edge, k, n)[:, ::-1]
+    np.minimum.accumulate(ends, axis=1, out=ends)
+    sorted_ranks = starts[:, :n] + ends[:, ::-1][:, 1:] - n
+    ranks = np.empty((m, n), dtype=np.int64)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    return ranks.T
+
+
+def discretize_untiled(values: np.ndarray, policy: BinningPolicy,
+                       ranks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``_discretize`` in one pass over all columns: int64 codes and counts."""
+    n = len(values)
+    bins = min(policy.bin_count, n)
+    if policy.kind == "equal_width":
+        rows = np.ascontiguousarray(values.T)
+    else:
+        rows = (midranks_untiled(values) if ranks is None else ranks).T
+    levels = np.sort(rows, axis=1)
+    first = np.ones(rows.shape, dtype=bool)
+    np.not_equal(levels[:, 1:], levels[:, :-1], out=first[:, 1:])
+    distinct = first.sum(axis=1)
+    categorical = distinct <= bins
+    if policy.kind == "equal_width":
+        wide = np.flatnonzero(~categorical & (levels[:, -1] / 2 - levels[:, 0] / 2 > np.finfo(np.float64).max / 2))
+        if wide.size:
+            lo, hi = float(levels[wide[0], 0]), float(levels[wide[0], -1])
+            raise ValueError(f"column {wide[0]} spans {lo!r} to {hi!r}: its range overflows float64, "
+                             "so equal-width bins cannot cut it")
+        lo = np.where(categorical[:, None], 0.0, levels[:, :1])
+        span = np.where(categorical[:, None], np.inf, levels[:, -1:]) - lo
+        scaled = (rows - lo) / span * bins
+    else:
+        scaled = (rows + n) / 2 / n * bins
+    codes = np.clip(np.floor(scaled), 0, bins - 1).astype(np.int64)
+    cat = np.flatnonzero(categorical)
+    if cat.size:
+        sorted_runs = np.cumsum(first[cat], axis=1) - 1
+        runs = np.empty_like(sorted_runs)
+        np.put_along_axis(runs, np.argsort(rows[cat], axis=1), sorted_runs, axis=1)
+        codes[cat] = runs
+    return codes, np.where(categorical, distinct, bins)
 
 
 class _MiState(NamedTuple):  # one feature or the labels, for MI

@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import _twice_centred_midranks, plugin_mi, spearman_exact
+from oracles import _twice_centred_midranks, discretize_untiled, midranks_untiled, plugin_mi, spearman_exact
 
 from infinisel import (
     BinningPolicy,
     ConfigError,
+    DataError,
     Dataset,
     build_measure_cache,
     feature_std,
@@ -23,7 +24,11 @@ from infinisel import (
     spearman,
 )
 import infinisel
-from infinisel.measures import _midranks, _spearman_block
+from infinisel import dataset as dataset_module
+from infinisel import measures
+from infinisel.adjacency import GRAPHS
+from infinisel.measures import _code_type, _discretize, _midranks, _rank_type, _spearman_block
+from infinisel.mrmr import mrmr_select
 
 POLICY = BinningPolicy()
 
@@ -499,3 +504,128 @@ class TestMidranks:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * ranks.nbytes
+
+
+WIDTH = 4  # columns a tile in TestColumnTiles
+
+
+def tile_columns(n, m, seed):
+    """m columns of n rows, cycling through all-tied ±0.0, continuous, ±0.0
+    tied beside 1.0, rounded and three-level categorical ones."""
+    rng = np.random.default_rng(seed)
+    kinds = [
+        np.resize([0.0, -0.0], n),
+        rng.normal(size=n),
+        np.resize([-0.0, 1.0, 0.0], n),
+        np.round(rng.normal(size=n)),
+        rng.integers(0, 3, n).astype(float),
+    ]
+    return np.column_stack([kinds[j % len(kinds)] for j in range(m)])
+
+
+class TestColumnTiles:
+    """Tiled kernels against their one-pass references, with tiles of WIDTH
+    columns: m = WIDTH − 1, WIDTH and WIDTH + 1 take one tile, one full tile
+    and a full tile plus one column."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_tiles(self, monkeypatch, n):
+        for module in (measures, dataset_module):
+            monkeypatch.setattr(module, "_TILE_BYTES", 8 * n * WIDTH)
+
+    @pytest.mark.parametrize("m", [WIDTH - 1, WIDTH, WIDTH + 1])
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_midranks_match_untiled_bitwise(self, n, m):
+        values = tile_columns(n, m, seed=n * m)
+        expected = midranks_untiled(values)
+        ranks = _midranks(values)
+        assert ranks.dtype == np.int64 and ranks.flags.f_contiguous
+        assert ranks.tobytes(order="F") == expected.tobytes(order="F")
+        narrow = _midranks(values, _rank_type(n))
+        assert narrow.dtype == np.int32 and narrow.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("policy", [BinningPolicy(bin_count=2), BinningPolicy(bin_count=3), POLICY,
+                                        BinningPolicy("equal_width", 2), BinningPolicy("equal_width", 3)])
+    @pytest.mark.parametrize("m", [WIDTH - 1, WIDTH, WIDTH + 1])
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_discretize_matches_untiled_bitwise(self, n, m, policy):
+        values = tile_columns(n, m, seed=n + m)
+        expected, counts = discretize_untiled(values, policy)
+        for ranks, dtype in ((None, np.int64), (_midranks(values, _rank_type(n)), _code_type(policy, n))):
+            codes, bins = _discretize(values, policy, ranks, dtype)
+            assert codes.dtype == dtype and codes.tolist() == expected.tolist()
+            assert bins.dtype == np.int64 and bins.tobytes() == counts.tobytes()
+
+    @pytest.mark.parametrize("m", [WIDTH - 1, WIDTH, WIDTH + 1])
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_overflow_names_the_global_column(self, n, m):
+        # The last column spans ±1e308 in n > 2 values: equal-width bins
+        # cannot cut it, and the error names its index in the matrix, not in
+        # its tile.
+        values = tile_columns(n, m, seed=m)
+        values[:, -1] = np.resize([-1e308, 0.0, 1e308], n)
+        message = f"column {m - 1} spans -1e[+]308 to 1e[+]308: its range overflows float64"
+        for discretize in (_discretize, discretize_untiled):
+            with pytest.raises(ValueError, match=message):
+                discretize(values, BinningPolicy("equal_width", 2))
+
+    @pytest.mark.parametrize("m", [WIDTH - 1, WIDTH, WIDTH + 1])
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_cache_and_mrmr_match_one_tile_bitwise(self, monkeypatch, n, m):
+        d = Dataset(tile_columns(n, m, seed=2 * m), labels=np.arange(n) % 2)
+        flags = dict(need_mi_matrix=True, need_spearman=True, need_relevance=True)
+        tiled, tiled_mrmr = build_measure_cache(d, POLICY, **flags), mrmr_select(d, m, POLICY)
+        monkeypatch.setattr(measures, "_TILE_BYTES", 768 << 10)
+        whole = build_measure_cache(d, POLICY, **flags)
+        for block in ("std", "spearman", "mi", "rdn", "relevance"):
+            assert getattr(tiled, block).tobytes() == getattr(whole, block).tobytes(), block
+        whole_mrmr = mrmr_select(d, m, POLICY)
+        assert tiled_mrmr.order == whole_mrmr.order
+        assert np.array(tiled_mrmr.objective_trace).tobytes() == np.array(whole_mrmr.objective_trace).tobytes()
+        assert tiled.std.tolist() == [feature_std(d, i) for i in range(m)]
+
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_gram_chunks_and_tiles_match_oracle_bitwise(self, monkeypatch, n):
+        # Tiles of two columns and calls of 16 multiply-adds: chunks of four
+        # rows, converted one at a time, and a last tile of one column.
+        values = tile_columns(n, 5, seed=n)
+        whole = _spearman_block(midranks_untiled(values))
+        monkeypatch.setattr(measures, "_GRAM_TILE", 2)
+        monkeypatch.setattr(measures, "_GRAM_CALL", 16)
+        block = _spearman_block(_midranks(values, _rank_type(n)))
+        assert block.tobytes() == whole.tobytes()
+        for i in range(5):
+            for j in range(5):
+                assert block[i, j] == spearman_exact(values[:, i], values[:, j])
+
+    @pytest.mark.parametrize("n", [9])
+    def test_dataset_checks_name_the_global_feature(self, n):
+        values = tile_columns(n, WIDTH + 2, seed=1)
+        big = values.copy()
+        big[:, WIDTH + 1] = np.linspace(0.0, 2e200, n)
+        with pytest.raises(DataError, match=f"standard deviation of feature {WIDTH + 1} overflows float64"):
+            Dataset(big)
+        bad = big.copy()
+        bad[3, WIDTH] = np.nan
+        with pytest.raises(DataError, match=f"non-finite value at sample 3, feature {WIDTH}"):
+            Dataset(bad)
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("variant", sorted(GRAPHS))
+    def test_measure_cache_at_20000_by_100(self, variant):
+        # Tiles hold every per-column temporary; ranks (int32) and bin codes
+        # (uint8) are the only full-size arrays, half and an eighth of the
+        # matrix. One-pass kernels peaked at 3.1x.
+        rng = np.random.default_rng(530)
+        values = rng.normal(size=(20000, 100))
+        values[:, :20] = np.round(values[:, :20])
+        d = Dataset(values, labels=rng.integers(0, 2, 20000))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_measure_cache(d, POLICY, **GRAPHS[variant].measure_flags)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * values.nbytes

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,21 @@ class TestMrmrContract:
             mrmr_select(d, 3, POLICY)
         with pytest.raises(ConfigError, match="k must be"):
             mrmr_select(d, 0, POLICY)
+
+
+def test_peak_memory_at_20000_by_100():
+    # The bin codes (uint8, an eighth of the matrix) are the only full-size
+    # array; binning runs in column tiles and the kernel in tiles of pairs.
+    # With one-pass binning and int64 codes the peak was 3.1x.
+    rng = np.random.default_rng(54)
+    values = rng.normal(size=(20000, 100))
+    values[:, :20] = np.round(values[:, :20])
+    d = Dataset(values, labels=rng.integers(0, 2, 20000))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mrmr_select(d, 100, POLICY)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * values.nbytes
