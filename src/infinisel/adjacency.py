@@ -26,7 +26,7 @@ import numpy as np
 from .measures import MeasureCache
 
 # The build_measure_cache flag that produces each optional MeasureCache
-# block; ``std`` is always computed.
+# block; ``std`` is always there, the dataset's own.
 _BLOCK_FLAGS = {"spearman": "need_spearman", "rdn": "need_mi_matrix", "relevance": "need_relevance"}
 
 

@@ -12,7 +12,7 @@ import csv
 import math
 import numbers
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,12 +63,15 @@ class Dataset:
 
     Instances are validated on construction and hold read-only arrays of
     their own, never the caller's; they can be shared freely across workers.
+    ``std`` holds each feature's population standard deviation, computed by
+    the checks (bitwise ``feature_std()``), never passed in.
     """
 
     values: np.ndarray
     labels: np.ndarray | None = None
     feature_names: tuple[str, ...] | None = None
     name: str = ""
+    std: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.values, _Fresh):
@@ -84,24 +87,22 @@ class Dataset:
             raise DataError(f"dataset '{self.name}': need at least 2 samples, got {n}")
         if m < 1:
             raise DataError(f"dataset '{self.name}': need at least 1 feature, got {m}")
-        # min and max are finite exactly when every value is (NaN propagates).
-        with np.errstate(invalid="ignore"):
-            finite = np.isfinite(values.min()) and np.isfinite(values.max())
-        if not finite:
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise DataError(
-                f"dataset '{self.name}': non-finite value at sample {bad[0]}, feature {bad[1]}"
-            )
+        # Each std is reduced as feature_std() reduces its column, on one tile
+        # of transposed columns at a time: no temporary the size of the matrix.
         # A finite std bounds every deviation, so scaling and measures stay
-        # finite. Each is reduced as feature_std() reduces its column, on one
-        # tile of transposed columns at a time: no temporary the size of the matrix.
-        for tile in _column_tiles(n, m, _TILE_BYTES):
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite_std = np.isfinite(np.ascontiguousarray(values[:, tile].T).std(axis=1))
-            if not finite_std.all():
-                raise DataError(f"dataset '{self.name}': standard deviation of feature "
-                                f"{tile.start + np.argmin(finite_std)} overflows float64")
+        # finite, and a non-finite value makes its column's std non-finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            std = np.concatenate([np.ascontiguousarray(values[:, tile].T).std(axis=1)
+                                  for tile in _column_tiles(n, m, _TILE_BYTES)])
+        finite = np.isfinite(std)
+        if not finite.all():
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                raise DataError(f"dataset '{self.name}': non-finite value at sample {bad[0, 0]}, feature {bad[0, 1]}")
+            raise DataError(f"dataset '{self.name}': standard deviation of feature "
+                            f"{np.argmin(finite)} overflows float64")
         object.__setattr__(self, "values", _readonly(values))
+        object.__setattr__(self, "std", _readonly(std))
 
         if self.labels is not None:
             labels = self.labels

@@ -11,30 +11,30 @@ Spearman is its Gram product: float64 BLAS calls small enough for OpenBLAS
 to run on one thread, each an exact integer, added in int64 and rounded
 once to float64; each chunk of rows is converted to float64 on its own.
 ``_discretize`` bins every column, by the same midranks under equal
-frequency; equal-width binning never ranks (a column whose range
-overflows float64 is a ``ValueError``). Every per-column kernel (ranks,
-bins, marginal counts, the std block) works on tiles of columns
-(``dataset._column_tiles``) within ``_TILE_BYTES``, so the only n×m
-arrays a cache or mRMR holds are the ranks, in int32 below 2³⁰ rows, and
-the bin codes, in the narrowest unsigned type, which the MI kernel copies
-into the type of its joint codes. Mutual information keeps one table per
-set of columns (the features, or the labels): bin codes, distinct
-marginals and entropies. One kernel, ``_mi_pairs``, gives the raw plug-in
-MI (nats) of any list of column pairs, tile by tile: exact joint counts from one
-``np.bincount`` over joint codes in the narrowest unsigned type; the
-ratio, ``math.log`` and the term once per distinct integer (marginal pair,
-count) key; and each pair's terms, or on a tile of few keys the exact
-multiples of its keys' terms, summed correctly rounded by
-``_rounded_sums`` (an error-free TwoSum tree whose rounding is certified,
-with ``math.fsum`` for the rare row it cannot certify).
-``_nmi_pairs`` divides by the smaller marginal entropy, into [0, 1].
-Blocks, scalar measures, label relevance, ``rdn`` and mRMR (which reads the
-raw MI block) all call the kernel, so a block cell is bitwise equal to its
-scalar measure, and every histogram sum equals ``math.fsum`` of its terms:
-measures are exactly symmetric. ``rdn`` sums the NMI block's rows left to
-right with its diagonal zeroed, as the scalar ``rdn`` sums its one column.
-The std block reduces each tile of transposed columns, bitwise equal to
-``feature_std``.
+frequency; equal-width binning never ranks (a column whose range overflows
+float64 is a ``ValueError``). Every per-column kernel (ranks, bins,
+marginal counts) works on tiles of columns (``dataset._column_tiles``)
+within ``_TILE_BYTES``, so the only n×m arrays a cache or mRMR holds are
+the ranks, in int32 below 2³⁰ rows, and the bin codes, in the narrowest
+unsigned type, which the MI kernel casts into the type of its joint codes
+one tile of rows at a time. The std is the ``Dataset``'s own, which its
+checks reduce tile by tile, bitwise equal to ``feature_std``. Mutual
+information keeps one table per set of columns (the features, or the
+labels): bin codes, distinct marginals and entropies. One kernel,
+``_mi_pairs``, gives the raw plug-in MI (nats) of any list of column
+pairs, tile by tile: exact joint counts from one ``np.bincount`` over
+joint codes in the narrowest unsigned type; the ratio, ``math.log`` and
+the term once per distinct integer (marginal pair, count) key; and each
+pair's terms, or on a tile of few keys the exact multiples of its keys'
+terms, summed correctly rounded by ``_rounded_sums`` (an error-free TwoSum
+tree whose rounding is certified, with ``math.fsum`` for the rare row it
+cannot certify). ``_nmi_pairs`` divides by the smaller marginal entropy,
+into [0, 1]. Blocks, scalar measures, label relevance, ``rdn`` and mRMR
+(which reads the raw MI block) all call the kernel, so a block cell is
+bitwise equal to its scalar measure, and every histogram sum equals
+``math.fsum`` of its terms: measures are exactly symmetric. ``rdn`` sums
+the NMI block's rows left to right with its diagonal zeroed, as the scalar
+``rdn`` sums its one column.
 """
 
 from __future__ import annotations
@@ -404,10 +404,11 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYT
     or, on a tile of few keys, its keys' exact multiples (``_summed_by_key``).
     Tiles of pairs keep the temporaries near ``tile_bytes``: the pair codes
     take two 8-byte arrays of n a pair at most (joint codes plus row offsets
-    are held in the narrowest unsigned type that fits them); the cell stages
-    about ten 8-byte arrays of wl·wr (counts, keys, their index, the
-    gathered terms, the sum's padded rows and errors, and at most two for
-    the presence mask's index).
+    are held in the narrowest unsigned type that fits them, and each count
+    tile's rows are gathered from the tables' own codes and cast there, so
+    no table is copied whole); the cell stages about ten 8-byte arrays of
+    wl·wr (counts, keys, their index, the gathered terms, the sum's padded
+    rows and errors, and at most two for the presence mask's index).
     """
     n = left.codes.shape[1]
     wl, wr = left.level.shape[1], right.level.shape[1]
@@ -415,12 +416,9 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYT
     count_step = max(tile_bytes // (16 * n), 1)
     # Joint codes plus row offsets in the narrowest unsigned type that holds
     # them and the scale wr: the gathers and adds move 2–8 times fewer bytes
-    # than in int64. Codes are cast before they are scaled, so narrow codes
-    # never wrap.
+    # than in int64. Gathered rows are cast before they are scaled or added,
+    # so narrow codes never wrap.
     code_type = np.min_scalar_type(min(count_step, len(i)) * cells)
-    scaled = left.codes.astype(code_type)
-    scaled *= wr
-    right_codes = right.codes.astype(code_type, copy=False)
     nr = len(right.levels)
     left_pair = left.level * nr  # marginal pair index a·nr + b, left part
     out = np.empty(len(i))
@@ -429,8 +427,9 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYT
         ti, tj = i[start:start + step], j[start:start + step]
         counts = []
         for k in range(0, len(ti), count_step):
-            codes = scaled[ti[k:k + count_step]]  # joint codes a·wr + b
-            codes += right_codes[tj[k:k + count_step]]
+            codes = left.codes[ti[k:k + count_step]].astype(code_type, copy=False)  # a gather: a fresh array
+            codes *= wr  # joint codes a·wr + b
+            codes += right.codes[tj[k:k + count_step]].astype(code_type, copy=False)
             counts.append(_bincounts(codes, cells))
         counts = np.concatenate(counts)
         pair = (left_pair[ti][:, :, None] + right.level[tj][:, None, :]).reshape(len(ti), cells)
@@ -527,12 +526,7 @@ def build_measure_cache(
     if need_relevance and dataset.labels is None:
         raise ConfigError("label relevance requires a labeled dataset")
     values = dataset.values
-    n, m = values.shape
-    # Each row of a tile's transpose reduces in the pairwise order of one
-    # column, so every entry is bitwise equal to feature_std().
-    std = np.concatenate([np.std(np.ascontiguousarray(values[:, tile].T), axis=1)
-                          for tile in _column_tiles(n, m, _TILE_BYTES)])
-
+    n = dataset.n
     spearman_block = mi_block = rdn_block = relevance_block = ranks = None
     if need_spearman:
         ranks = _midranks(values, _rank_type(n))
@@ -545,4 +539,4 @@ def build_measure_cache(
     if need_relevance:
         relevance_block = _label_pairs(_nmi_pairs, table, dataset.labels)
 
-    return MeasureCache(std, spearman_block, mi_block, rdn_block, relevance_block)
+    return MeasureCache(dataset.std, spearman_block, mi_block, rdn_block, relevance_block)

@@ -51,6 +51,16 @@ class TestIfs:
         with pytest.raises(ValueError, match="spearman"):
             build_adjacency(cache, "ifs", 0.5)
 
+    def test_unknown_variant(self):
+        cache = MeasureCache(std=np.ones(2), spearman=np.eye(2))
+        with pytest.raises(ValueError, match="unknown adjacency variant 'mrmr'; expected one of"):
+            build_adjacency(cache, "mrmr", 0.5)
+
+    def test_alpha_outside_unit_interval(self):
+        cache = MeasureCache(std=np.ones(2), spearman=np.eye(2))
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got 1.5"):
+            build_adjacency(cache, "ifs", 1.5)
+
 
 class TestMifs:
     def test_alpha_zero_fully_redundant_pair(self):

@@ -469,3 +469,43 @@ class TestNumpyOnly:
         proc = subprocess.run([sys.executable, "-c", NUMPY_AND_STDLIB_ONLY, *argv], env=env,
                               capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+
+
+class TestFlagErrors:
+    """Each bad flag value is a ConfigError: exit 3 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("rank", ["--alpha", "x"], "--alpha must be a number in [0, 1] or 'cv', got 'x'"),
+        ("rank", ["--c", "x"], "--c must be a number, got 'x'"),
+        ("rank", ["--bins", "2.5"], "--bins must be an integer, got '2.5'"),
+        ("rank", ["--seed", "x"], "--seed must be an integer, got 'x'"),
+        ("rank", ["--format", "xml"], "--format must be 'csv' or 'libsvm', got 'xml'"),
+        ("eval", ["--n-grid", "1,x"], "--n-grid must be a comma-separated list of integers, got '1,x'"),
+        ("eval", ["--n-grid", "0"], "--n-grid entries must be positive, got '0'"),
+        ("compare", ["--variants", ","], "--variants must list at least one variant"),
+    ], ids=["alpha", "c", "bins", "seed", "format", "n-grid-integers", "n-grid-positive", "variants"])
+    def test_exit_three_with_one_error_line(self, tmp_path, labeled_csv, test_csv, capsys,
+                                            command, flags, message):
+        inputs = [labeled_csv] if command == "rank" else [labeled_csv, test_csv, "--output", str(tmp_path / "x")]
+        assert main([command, *inputs, "--label-column", "y", *flags]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not list(tmp_path.glob("x.*"))
+
+    def test_missing_libsvm_file_exit_two(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.svm")
+        assert main(["rank", missing, "--format", "libsvm"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read {missing}: ")
+
+
+def test_module_entry_point(labeled_csv):
+    # ``python -m infinisel.cli`` exits with main()'s code.
+    package_root = str(Path(infinisel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    argv = ["rank", labeled_csv, "--label-column", "y", "--variant", "ifs"]
+    proc = subprocess.run([sys.executable, "-m", "infinisel.cli", *argv], env=env, capture_output=True)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.decode().splitlines()[0] == "rank,index,name,score"
+    missing = subprocess.run([sys.executable, "-m", "infinisel.cli", "rank", labeled_csv + ".nope"],
+                             env=env, capture_output=True)
+    assert missing.returncode == 2 and missing.stderr.decode().startswith("error: cannot read ")

@@ -109,3 +109,10 @@ def test_load_csv_equals_reference_with_tiny_scan_chunks(csv_path, chunk, case):
         patch.setattr(dataset, "_CHUNK", chunk)
         got = outcome(load_csv, str(csv_path), label_column)
     assert got == outcome(load_csv_reference, str(csv_path), label_column)
+
+
+def test_blank_lines_before_the_header(csv_path, monkeypatch):
+    # The plain path skips them to find the header, as csv.reader does.
+    csv_path.write_text("\n\nx,y\n1,0\n2,1\n")
+    monkeypatch.setattr(dataset, "_parse_cells", None)
+    assert outcome(load_csv, str(csv_path), "y") == outcome(load_csv_reference, str(csv_path), "y")

@@ -17,6 +17,14 @@ def write(path, text):
 
 
 class TestDatasetValidation:
+    def test_rejects_values_that_are_not_2d(self):
+        with pytest.raises(DataError, match=re.escape("values must be 2-D, got shape (3,)")):
+            Dataset(np.zeros(3))
+
+    def test_rejects_feature_name_count_mismatch(self):
+        with pytest.raises(DataError, match="2 feature names for 3 features"):
+            Dataset(np.ones((2, 3)), feature_names=("a", "b"))
+
     def test_rejects_single_sample(self):
         with pytest.raises(DataError, match="at least 2 samples"):
             Dataset(np.ones((1, 3)))

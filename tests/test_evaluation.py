@@ -339,6 +339,10 @@ class TestBinaryAuc:
         assert binary_auc(np.array([0.1, 0.2, 0.8, 0.9]), y, 1) == 1.0
         assert binary_auc(np.array([0.9, 0.8, 0.2, 0.1]), y, 1) == 0.0
 
+    def test_single_class_is_half(self):
+        assert binary_auc(np.array([0.1, 0.7, 0.3]), np.array([1, 1, 1]), 1) == 0.5
+        assert binary_auc(np.array([0.1, 0.7, 0.3]), np.array([0, 0, 0]), 1) == 0.5
+
     def test_tied_scores_are_half(self):
         y = np.array([0, 1, 0, 1])
         assert binary_auc(np.zeros(4), y, 1) == 0.5
@@ -380,6 +384,10 @@ class TestStratifiedFolds:
         with pytest.raises(ConfigError, match="impossible"):
             stratified_fold_indices(labels, 3, seed=0)
 
+    def test_one_fold_rejected(self):
+        with pytest.raises(ConfigError, match="need at least 2 folds, got 1"):
+            stratified_fold_indices(np.tile([0, 1], 5), 1, 0)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ConfigError, match="folds"):
             stratified_fold_indices(np.array([0, 1]), 3, seed=0)
@@ -404,6 +412,12 @@ def labeled_dataset(rng, n, m, perfect_first=False):
 
 
 class TestEvaluateSelector:
+    def test_nonpositive_top_n_rejected(self):
+        rng = np.random.default_rng(68)
+        train, test = labeled_dataset(rng, 40, 5), labeled_dataset(rng, 30, 5)
+        with pytest.raises(ConfigError, match="top-N values must be positive, got 0"):
+            evaluate_selector(train, test, SelectorConfig(variant="ifs", alpha=0.5), n_grid=(0,))
+
     def test_no_test_leakage(self):
         rng = np.random.default_rng(67)
         train = labeled_dataset(rng, 40, 5)

@@ -27,7 +27,8 @@ import infinisel
 from infinisel import dataset as dataset_module
 from infinisel import measures
 from infinisel.adjacency import GRAPHS
-from infinisel.measures import _code_type, _discretize, _midranks, _rank_type, _spearman_block
+from infinisel.measures import (_code_type, _discretize, _mi_pairs, _mi_table, _midranks, _rank_type,
+                                _spearman_block)
 from infinisel.mrmr import mrmr_select
 
 POLICY = BinningPolicy()
@@ -109,6 +110,11 @@ class TestSpearman:
         base = spearman(x, y)
         assert spearman(np.exp(x / 10), y) == base
         assert spearman(x, y**3) == base
+
+
+def test_spearman_needs_two_samples():
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        spearman([1.0], [2.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -324,6 +330,15 @@ class TestMeasureCache:
                     acc += normalized_mi(d.values[:, j], d.values[:, i], POLICY)
             assert cache.rdn[i] == acc / (d.m - 1)
             assert cache.rdn[i] == rdn(d, i, POLICY)
+
+    @pytest.mark.parametrize("variant", sorted(GRAPHS))
+    def test_std_is_the_datasets_own(self, variant):
+        rng = np.random.default_rng(21)
+        d = Dataset(rng.normal(size=(30, 5)), labels=rng.integers(0, 2, 30))
+        cache = build_measure_cache(d, POLICY, **GRAPHS[variant].measure_flags)
+        assert np.shares_memory(cache.std, d.std)
+        assert not cache.std.flags.writeable and not d.std.flags.writeable
+        assert d.std.tolist() == [feature_std(d, i) for i in range(d.m)]
 
     def test_spearman_diagonal_and_symmetry(self):
         rng = np.random.default_rng(20)
@@ -610,6 +625,30 @@ class TestColumnTiles:
         with pytest.raises(DataError, match=f"non-finite value at sample 3, feature {WIDTH}"):
             Dataset(bad)
 
+    @pytest.mark.parametrize("n", [9])
+    def test_nan_in_a_later_tile_wins_over_an_earlier_overflow(self, n):
+        # Feature 0's std overflows in tile 0 and a NaN sits in tile 1: the
+        # non-finite value is named, as when both faults share one tile.
+        values = tile_columns(n, WIDTH + 2, seed=5)
+        values[:, 0] = np.linspace(0.0, 2e200, n)
+        values[6, WIDTH + 1] = np.nan
+        with pytest.raises(DataError, match=f"non-finite value at sample 6, feature {WIDTH + 1}"):
+            Dataset(values)
+
+    @pytest.mark.parametrize("n", [9])
+    def test_checks_make_no_whole_matrix_pass(self, n):
+        # The std pass alone validates: a whole-matrix min or max fails here.
+        class NoWholeReduction(np.ndarray):
+            def min(self, *args, **kwargs):
+                raise AssertionError("a whole-matrix reduction")
+
+            max = min
+
+        values = tile_columns(n, 2 * WIDTH + 1, seed=6)
+        expected = [float(np.std(values[:, i])) for i in range(values.shape[1])]
+        d = Dataset(dataset_module._Fresh(values.view(NoWholeReduction)))
+        assert d.std.tolist() == expected
+
 
 class TestPeakMemory:
     @pytest.mark.parametrize("variant", sorted(GRAPHS))
@@ -629,3 +668,20 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.0 * values.nbytes
+
+    def test_mi_pairs_copies_no_code_table(self):
+        # Each count tile gathers its rows from the narrow (uint8) codes and
+        # casts them to the uint32 joint-code type there. Casting both whole
+        # tables first peaked at 1.5x the float matrix.
+        values = np.random.default_rng(531).normal(size=(500, 400))
+        policy = BinningPolicy(bin_count=100)
+        table = _mi_table(values, policy, dtype=_code_type(policy, 500))
+        i, j = np.triu_indices(400)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _mi_pairs(table, i[:2000], table, j[:2000])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * values.nbytes
