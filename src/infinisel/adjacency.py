@@ -69,7 +69,7 @@ def _checked_matrix(a) -> np.ndarray:
     return np.clip(a, 0.0, None) if lo < 0 else a  # absorb float-accumulation dust
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
     """Symmetric nonnegative matrix of pairwise feature energies."""
 
@@ -79,10 +79,6 @@ class AdjacencyMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "a", _checked_matrix(self.a))
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
 
 
 def build_adjacency(cache: MeasureCache, variant: str, alpha: float) -> AdjacencyMatrix:

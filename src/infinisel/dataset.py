@@ -57,7 +57,7 @@ class _Fresh:
         self.array = array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An n-samples by m-features matrix with optional labels and names.
 
@@ -71,7 +71,7 @@ class Dataset:
     labels: np.ndarray | None = None
     feature_names: tuple[str, ...] | None = None
     name: str = ""
-    std: np.ndarray = field(init=False, repr=False, compare=False)
+    std: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.values, _Fresh):
@@ -125,7 +125,12 @@ class Dataset:
             object.__setattr__(self, "labels", _readonly(labels))
 
         if self.feature_names is not None:
+            if isinstance(self.feature_names, str):
+                raise DataError(f"dataset '{self.name}': feature names must be a sequence of strings, not one string")
             names = tuple(self.feature_names)
+            for x in names:
+                if not isinstance(x, str):
+                    raise DataError(f"dataset '{self.name}': feature name {x!r} is not a string")
             if len(names) != m:
                 raise DataError(
                     f"dataset '{self.name}': {len(names)} feature names for {m} features"
@@ -152,7 +157,7 @@ class Dataset:
         return f"f{i}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureScaler:
     """A fitted per-feature affine transform.
 
@@ -172,17 +177,12 @@ class FeatureScaler:
         return out
 
 
-def validate_scheme(scheme: str) -> str:
+def fit_scaler(values: np.ndarray, scheme: str) -> FeatureScaler:
+    """Fit per-feature preprocessing statistics on a value matrix."""
     if scheme not in PREPROCESSING_SCHEMES:
         raise DataError(
             f"unknown preprocessing scheme {scheme!r}; expected one of {PREPROCESSING_SCHEMES}"
         )
-    return scheme
-
-
-def fit_scaler(values: np.ndarray, scheme: str) -> FeatureScaler:
-    """Fit per-feature preprocessing statistics on a value matrix."""
-    validate_scheme(scheme)
     values = np.asarray(values, dtype=np.float64)
     m = values.shape[1]
     if scheme == "none":
@@ -364,12 +364,10 @@ def _parse_plain(path: str, label_column: str | None):
 
 def _parse_cells(path: str, label_column: str | None):
     """Parse a CSV file with ``csv.reader`` and ``float()`` cell by cell;
-    every error message of ``load_csv`` is worded here."""
+    every parse error message of ``load_csv`` is worded here."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
     except (UnicodeDecodeError, csv.Error) as exc:  # non-UTF-8 bytes, over-long fields
         raise DataError(f"{path}: unparseable CSV: {exc}") from None
     if not rows:
@@ -417,10 +415,9 @@ def load_csv(path: str, label_column: str | None = None) -> Dataset:
     the file again and words every error.
     """
     try:
-        parsed = _parse_plain(path, label_column)
+        header, label_idx, values, labels = _parse_plain(path, label_column) or _parse_cells(path, label_column)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    header, label_idx, values, labels = parsed or _parse_cells(path, label_column)
     feature_names = None
     if header is not None:
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)

@@ -38,7 +38,7 @@ DEFAULT_EPOCHS = 200
 DEFAULT_COST = 1.0  # classifier cost when alpha is fixed rather than cross-validated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearClassifier:
     """Binary linear max-margin classifier.
 
@@ -156,7 +156,7 @@ def _train_linear_batch(xs, targets, costs, epochs):
     return [(w[i], float(b[i]), tuple(histories[i])) for i in range(p)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _OneVsRest:
     models: tuple[LinearClassifier, ...]
     classes: np.ndarray
@@ -236,6 +236,8 @@ def stratified_fold_indices(labels: np.ndarray, folds: int, seed: int) -> np.nda
     labels = np.asarray(labels)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigError(f"fold seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(folds, (int, np.integer)):
+        raise ConfigError(f"fold count must be an integer, got {folds!r}")
     if folds < 2:
         raise ConfigError(f"need at least 2 folds, got {folds}")
     if labels.size < folds:

@@ -72,7 +72,7 @@ class BinningPolicy:
             raise ConfigError(f"bin_count must be >= 2, got {self.bin_count}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureCache:
     """Precomputed measure blocks for one dataset.
 
@@ -370,7 +370,7 @@ def _distinct_keys(pair: np.ndarray, count: np.ndarray, span: int) -> tuple[np.n
     return distinct // span, distinct % span, inverse.reshape(pair.shape)
 
 
-def _summed_by_key(terms: np.ndarray, inverse: np.ndarray, cells: int) -> np.ndarray:
+def _summed_by_key(terms: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     # The correctly rounded sum of terms[inverse[p]] for each row p of cells
     # key indices (inverse is a scratch array). With fewer than half as many
     # keys as cells, a row sums its keys' multiples: a multiplicity is at most
@@ -378,6 +378,7 @@ def _summed_by_key(terms: np.ndarray, inverse: np.ndarray, cells: int) -> np.nda
     # term's hi with 53 − b bits and its lo with b − 1, so mult·hi and
     # mult·lo are exact while 2b − 1 ≤ 53, and the row's 2K products add up
     # to its exact sum. Pairs of 2²⁶ cells or more sum per cell.
+    cells = inverse.shape[1]
     keys, bits = len(terms), cells.bit_length()
     if 2 * keys >= cells or bits > 26:
         return _rounded_sums(terms[inverse])
@@ -390,7 +391,7 @@ def _summed_by_key(terms: np.ndarray, inverse: np.ndarray, cells: int) -> np.nda
     return _rounded_sums(split)
 
 
-def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYTES) -> np.ndarray:
+def _mi_pairs(left: _MiTable, i, right: _MiTable, j) -> np.ndarray:
     """Raw plug-in MI (nats) of ``left`` column ``i[p]`` and ``right`` column
     ``j[p]``, for every p.
 
@@ -402,7 +403,7 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYT
     integer (marginal pair, count) and computes the ratio, ``math.log`` and
     the term once per distinct key; a pair then sums either its cells' terms
     or, on a tile of few keys, its keys' exact multiples (``_summed_by_key``).
-    Tiles of pairs keep the temporaries near ``tile_bytes``: the pair codes
+    Tiles of pairs keep the temporaries near ``_TILE_BYTES``: the pair codes
     take two 8-byte arrays of n a pair at most (joint codes plus row offsets
     are held in the narrowest unsigned type that fits them, and each count
     tile's rows are gathered from the tables' own codes and cast there, so
@@ -413,7 +414,7 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYT
     n = left.codes.shape[1]
     wl, wr = left.level.shape[1], right.level.shape[1]
     cells = wl * wr
-    count_step = max(tile_bytes // (16 * n), 1)
+    count_step = max(_TILE_BYTES // (16 * n), 1)
     # Joint codes plus row offsets in the narrowest unsigned type that holds
     # them and the scale wr: the gathers and adds move 2–8 times fewer bytes
     # than in int64. Gathered rows are cast before they are scaled or added,
@@ -422,7 +423,7 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYT
     nr = len(right.levels)
     left_pair = left.level * nr  # marginal pair index a·nr + b, left part
     out = np.empty(len(i))
-    step = max(tile_bytes // (80 * cells), 1)
+    step = max(_TILE_BYTES // (80 * cells), 1)
     for start in range(0, len(i), step):
         ti, tj = i[start:start + step], j[start:start + step]
         counts = []
@@ -438,7 +439,7 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j, tile_bytes: int = _TILE_BYT
         expected = left.levels[pairs // nr] * right.levels[pairs % nr]
         ratio = np.divide(joint, expected, out=np.ones_like(joint), where=hits > 0)
         terms = joint * np.array([math.log(r) for r in ratio.tolist()])
-        out[start:start + len(ti)] = _summed_by_key(terms, inverse, cells)
+        out[start:start + len(ti)] = _summed_by_key(terms, inverse)
     return np.maximum(out, 0.0)
 
 

@@ -20,8 +20,11 @@ from .errors import ConfigError
 from .measures import build_measure_cache
 from .mrmr import MrmrSelection, mrmr_select
 
+_POWER_TOL = 1e-10
+_POWER_STEPS = 10000
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class FeatureRanking:
     """A full ranking of features by descending energy score.
 
@@ -43,15 +46,15 @@ def _as_matrix(a) -> np.ndarray:
     return a.a if isinstance(a, AdjacencyMatrix) else _checked_matrix(a)
 
 
-def spectral_radius(a, tol: float = 1e-10, max_iter: int = 10000) -> float:
+def spectral_radius(a) -> float:
     """Largest eigenvalue magnitude of a symmetric nonnegative matrix.
 
     Power iteration from the all-ones vector, which cannot be orthogonal to
     the dominant eigenvector of a nonnegative matrix. Returns 0 for the
     zero matrix so callers can short-circuit. Raises ValueError if a plain
     array fails ``AdjacencyMatrix``'s checks, RuntimeError if the estimate
-    has not stabilized to relative tolerance ``tol`` within ``max_iter``
-    iterations.
+    has not stabilized to relative tolerance ``_POWER_TOL`` within
+    ``_POWER_STEPS`` iterations.
     """
     a = _as_matrix(a)
     m = a.shape[0]
@@ -59,17 +62,17 @@ def spectral_radius(a, tol: float = 1e-10, max_iter: int = 10000) -> float:
         return abs(float(a[0, 0]))
     v = np.full(m, 1.0 / np.sqrt(m))
     estimate = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_STEPS):
         w = a @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         v = w / norm
-        if abs(norm - estimate) <= tol * norm:
+        if abs(norm - estimate) <= _POWER_TOL * norm:
             return norm
         estimate = norm
     raise RuntimeError(
-        f"power iteration did not converge within {max_iter} iterations (last estimate {estimate})"
+        f"power iteration did not converge within {_POWER_STEPS} iterations (last estimate {estimate})"
     )
 
 

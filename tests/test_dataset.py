@@ -25,6 +25,18 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match="2 feature names for 3 features"):
             Dataset(np.ones((2, 3)), feature_names=("a", "b"))
 
+    def test_rejects_one_string_of_names(self):
+        with pytest.raises(DataError, match="dataset 'd': feature names must be a sequence of strings, not one string"):
+            Dataset(np.ones((2, 3)), feature_names="abc", name="d")
+
+    @pytest.mark.parametrize("bad", [1, None, b"c", 2.5])
+    def test_rejects_a_name_that_is_not_a_string(self, bad):
+        with pytest.raises(DataError, match=re.escape(f"dataset 'd': feature name {bad!r} is not a string")):
+            Dataset(np.ones((2, 3)), feature_names=("a", "b", bad), name="d")
+
+    def test_accepts_any_sequence_of_strings(self):
+        assert Dataset(np.ones((2, 2)), feature_names=["a", np.str_("b")]).feature_names == ("a", "b")
+
     def test_rejects_single_sample(self):
         with pytest.raises(DataError, match="at least 2 samples"):
             Dataset(np.ones((1, 3)))

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -388,6 +389,16 @@ class TestStratifiedFolds:
         with pytest.raises(ConfigError, match="need at least 2 folds, got 1"):
             stratified_fold_indices(np.tile([0, 1], 5), 1, 0)
 
+    @pytest.mark.parametrize("folds", [2.5, 3.0, "3", None])
+    def test_non_integer_folds_rejected(self, folds):
+        with pytest.raises(ConfigError, match=f"fold count must be an integer, got {re.escape(repr(folds))}"):
+            stratified_fold_indices(np.tile([0, 1], 10), folds, 0)
+
+    def test_numpy_integer_folds_accepted(self):
+        labels = np.tile([0, 1], 10)
+        np.testing.assert_array_equal(stratified_fold_indices(labels, np.int64(3), 0),
+                                      stratified_fold_indices(labels, 3, 0))
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ConfigError, match="folds"):
             stratified_fold_indices(np.array([0, 1]), 3, seed=0)
@@ -412,6 +423,13 @@ def labeled_dataset(rng, n, m, perfect_first=False):
 
 
 class TestEvaluateSelector:
+    def test_non_integer_folds_rejected(self):
+        rng = np.random.default_rng(68)
+        train, test = labeled_dataset(rng, 40, 5), labeled_dataset(rng, 30, 5)
+        config = SelectorConfig(variant="ifs", alpha="cv")
+        with pytest.raises(ConfigError, match="fold count must be an integer, got 2.5"):
+            evaluate_selector(train, test, config, n_grid=(3,), folds=2.5, cost_grid=(1.0,))
+
     def test_nonpositive_top_n_rejected(self):
         rng = np.random.default_rng(68)
         train, test = labeled_dataset(rng, 40, 5), labeled_dataset(rng, 30, 5)
@@ -555,6 +573,12 @@ class TestEvaluateSelector:
 
 
 class TestCrossValidate:
+    def test_non_integer_folds_rejected(self):
+        d = labeled_dataset(np.random.default_rng(76), 40, 5)
+        config = SelectorConfig(variant="mifs", alpha=0.5)
+        with pytest.raises(ConfigError, match="fold count must be an integer, got 2.5"):
+            cross_validate(d, [(config, 1.0)], folds=2.5, n_grid=(3,))
+
     def test_single_entry_grid(self):
         rng = np.random.default_rng(76)
         d = labeled_dataset(rng, 40, 5)

@@ -599,6 +599,31 @@ class TestColumnTiles:
         assert np.array(tiled_mrmr.objective_trace).tobytes() == np.array(whole_mrmr.objective_trace).tobytes()
         assert tiled.std.tolist() == [feature_std(d, i) for i in range(m)]
 
+    @pytest.mark.parametrize("n", [9])
+    def test_mi_pair_tiles_follow_the_budget(self, monkeypatch, n):
+        # The MI kernel reads the budget when called: under the tiny one, the
+        # cache's and mRMR's pairs run in many tiles, one sum each, and give
+        # the bytes of the 768 KiB run.
+        d = Dataset(tile_columns(n, 5, seed=3), labels=np.arange(n) % 2)
+        summed_by_key, tiles = measures._summed_by_key, []
+        monkeypatch.setattr(measures, "_summed_by_key",
+                            lambda terms, inverse: tiles.append(len(inverse)) or summed_by_key(terms, inverse))
+        flags = dict(need_mi_matrix=True, need_relevance=True)
+        runs = []
+        for budget in (8 * n * WIDTH, 768 << 10):
+            monkeypatch.setattr(measures, "_TILE_BYTES", budget)
+            del tiles[:]
+            cache = build_measure_cache(d, POLICY, **flags)
+            cache_tiles = len(tiles)
+            selection = mrmr_select(d, 5, POLICY)
+            runs.append((cache, selection, cache_tiles, len(tiles) - cache_tiles))
+        (tiny, tiny_mrmr, cache_tiles, mrmr_tiles), (whole, whole_mrmr, *_) = runs
+        assert cache_tiles > 2 and mrmr_tiles > 2
+        for block in ("mi", "rdn", "relevance"):
+            assert getattr(tiny, block).tobytes() == getattr(whole, block).tobytes(), block
+        assert tiny_mrmr.order == whole_mrmr.order
+        assert np.array(tiny_mrmr.objective_trace).tobytes() == np.array(whole_mrmr.objective_trace).tobytes()
+
     @pytest.mark.parametrize("n", [9, 13])
     def test_gram_chunks_and_tiles_match_oracle_bitwise(self, monkeypatch, n):
         # Tiles of two columns and calls of 16 multiply-adds: chunks of four

@@ -128,15 +128,18 @@ def test_kernel_matches_per_pair_loop_bitwise(policy, n):
         assert_kernel_matches_loop(values, labels, policy)
 
 
-def test_one_pair_per_tile_gives_the_bytes_of_one_tile():
+def test_one_pair_per_tile_gives_the_bytes_of_one_tile(monkeypatch):
     rng = np.random.default_rng(7)
     values = np.column_stack([column(rng, 500, kind) for kind in KINDS * 3])
     table, label = _mi_table(values, BinningPolicy()), _label_table(rng.integers(0, 4, 500))
     i, j = np.triu_indices(values.shape[1])
     cases = (table, i, table, j), (table, np.arange(15), label, np.zeros(15, dtype=np.int64))
     for left, a, right, b in cases:
-        single = _mi_pairs(left, a, right, b, tile_bytes=1)
-        assert single.tobytes() == _mi_pairs(left, a, right, b, tile_bytes=2**40).tobytes()
+        monkeypatch.setattr(measures, "_TILE_BYTES", 1)
+        single = _mi_pairs(left, a, right, b)
+        monkeypatch.setattr(measures, "_TILE_BYTES", 2**40)
+        assert single.tobytes() == _mi_pairs(left, a, right, b).tobytes()
+        monkeypatch.undo()
         assert single.tobytes() == _mi_pairs(left, a, right, b).tobytes()
 
 
@@ -162,12 +165,14 @@ def test_tiled_kernel_matches_per_pair_loop_bitwise(case):
     values, labels, policy, tile_bytes = case
     table, states = _mi_table(values, policy), oracles._mi_states(values, policy)
     i, j = np.triu_indices(len(states))
-    got = _mi_pairs(table, i, table, j, tile_bytes=tile_bytes)
-    assert got.tobytes() == np.array([oracles._mi(states[a], states[b]) for a, b in zip(i, j)]).tobytes()
-    label = oracles._label_state(labels)
-    m = np.arange(len(states))
-    got = _mi_pairs(table, m, _label_table(labels), np.zeros_like(m), tile_bytes=tile_bytes)
-    assert got.tobytes() == np.array([oracles._mi(s, label) for s in states]).tobytes()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(measures, "_TILE_BYTES", tile_bytes)
+        got = _mi_pairs(table, i, table, j)
+        assert got.tobytes() == np.array([oracles._mi(states[a], states[b]) for a, b in zip(i, j)]).tobytes()
+        label = oracles._label_state(labels)
+        m = np.arange(len(states))
+        got = _mi_pairs(table, m, _label_table(labels), np.zeros_like(m))
+        assert got.tobytes() == np.array([oracles._mi(s, label) for s in states]).tobytes()
 
 
 def test_small_tiles_take_both_sum_branches_and_wide_codes(monkeypatch):
@@ -182,13 +187,14 @@ def test_small_tiles_take_both_sum_branches_and_wide_codes(monkeypatch):
     monkeypatch.setattr(measures, "_rounded_sums", lambda terms: widths.append(terms.shape[1]) or rounded_sums(terms))
     monkeypatch.setattr(measures, "_bincounts",
                         lambda codes, bins: dtypes.add(codes.dtype.name) or bincounts(codes, bins))
+    monkeypatch.setattr(measures, "_TILE_BYTES", 1)
     branches = set()
     for table, label in tables:
         i, j = np.triu_indices(4)
         for left, a, right, b in ((table, i, table, j), (table, np.arange(4), label, np.zeros(4, dtype=np.int64))):
             cells = left.level.shape[1] * right.level.shape[1]
             del widths[:]
-            _mi_pairs(left, a, right, b, tile_bytes=1)
+            _mi_pairs(left, a, right, b)
             branches |= {"cell" if w == cells else "key" for w in widths}
             assert all(w == cells or (w % 2 == 0 and w < cells) for w in widths)
     assert branches == {"cell", "key"}
@@ -213,7 +219,7 @@ def keyed_rows(draw):
 def test_sum_by_key_multiplicity_equals_fsum_bitwise(case):
     terms, inverse, cells = case
     expected = np.array([math.fsum(terms[row].tolist()) for row in inverse])
-    assert _summed_by_key(terms, inverse.copy(), cells).tobytes() == expected.tobytes()
+    assert _summed_by_key(terms, inverse.copy()).tobytes() == expected.tobytes()
 
 
 @st.composite

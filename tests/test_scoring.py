@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import inverse_route_scores, nmi, truncated_energy_scores, truncation_length
 
@@ -13,6 +15,7 @@ from infinisel import (
     preprocess,
     rank_features,
     selection_order,
+    scoring,
     spectral_radius,
 )
 from infinisel.scoring import rank_scaled
@@ -43,9 +46,10 @@ class TestSpectralRadius:
             expected = np.abs(np.linalg.eigvalsh(a)).max()
             assert spectral_radius(a) == pytest.approx(expected, rel=1e-8)
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(scoring, "_POWER_STEPS", 1)
         with pytest.raises(RuntimeError, match="converge"):
-            spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]]), max_iter=1)
+            spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 class TestPlainMatrixChecks:
@@ -114,6 +118,31 @@ class TestEnergyScores:
             ranking = energy_scores(a, c=0.9)
             approx = truncated_energy_scores(a, ranking.r_used, length)
             assert np.abs(ranking.scores - approx).max() <= 1e-8
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_closed_form_matches_truncated_path_sums(self, data):
+        # Random nonnegative symmetric matrices, sparse or dense, of 1–12
+        # features: the solve equals the walk sums cut where the tail is
+        # below 1e-10 (Roffo, Melzi & Cristani, ICCV 2015). Power iteration
+        # may stop short only where a second eigenvalue's magnitude is within
+        # 1% of ρ (a near-bipartite star, say), far slower than 10000 steps
+        # can resolve; then it must say so.
+        m = data.draw(st.integers(1, 12))
+        entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+        a = np.array(data.draw(st.lists(entry, min_size=m * m, max_size=m * m))).reshape(m, m)
+        a = np.triu(a) + np.triu(a, 1).T
+        assume(a.any())
+        c = data.draw(st.floats(0.05, 0.95))
+        try:
+            ranking = energy_scores(a, c)
+        except RuntimeError as exc:
+            assert "did not converge within 10000 iterations" in str(exc)
+            magnitudes = np.sort(np.abs(np.linalg.eigvalsh(a)))
+            assert magnitudes[-2] > 0.99 * magnitudes[-1]
+            return
+        expected = truncated_energy_scores(a, ranking.r_used, truncation_length(c))
+        np.testing.assert_allclose(ranking.scores, expected, rtol=1e-8)
 
     def test_matches_inverse_route(self):
         rng = np.random.default_rng(34)
