@@ -227,6 +227,15 @@ def binary_auc(scores: np.ndarray, labels: np.ndarray, positive) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
+def _check_fold_plan(folds, seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"fold seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(folds, (int, np.integer)):
+        raise ConfigError(f"fold count must be an integer, got {folds!r}")
+    if folds < 2:
+        raise ConfigError(f"need at least 2 folds, got {folds}")
+
+
 def stratified_fold_indices(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Deterministic stratified fold assignment (one fold id per sample).
 
@@ -234,12 +243,7 @@ def stratified_fold_indices(labels: np.ndarray, folds: int, seed: int) -> np.nda
     training part contains every class.
     """
     labels = np.asarray(labels)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"fold seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(folds, (int, np.integer)):
-        raise ConfigError(f"fold count must be an integer, got {folds!r}")
-    if folds < 2:
-        raise ConfigError(f"need at least 2 folds, got {folds}")
+    _check_fold_plan(folds, seed)
     if labels.size < folds:
         raise ConfigError(f"{labels.size} samples cannot fill {folds} folds")
     rng = np.random.default_rng(seed)
@@ -421,6 +425,8 @@ def _evaluate(
                     f"train and test feature names differ: feature {k} is {a!r} in train, {b!r} in test"
                 )
 
+    # Every report records the fold seed, so a fixed alpha checks the plan too.
+    _check_fold_plan(folds, seed)
     # Per config: the chosen (config, cost), or a "cv" config's slice of
     # the shared grid until cross validation picks from it.
     chosen, grid = [], []

@@ -19,26 +19,27 @@ the ranks, in int32 below 2³⁰ rows, and the bin codes, in the narrowest
 unsigned type, which the MI kernel casts into the type of its joint codes
 one tile of rows at a time. The std is the ``Dataset``'s own, which its
 checks reduce tile by tile, bitwise equal to ``feature_std``. Mutual
-information keeps one table per set of columns (the features, or the
-labels): bin codes, distinct marginals and entropies. One kernel,
+information is H(X) + H(Y) − H(X, Y), clipped at 0, each a plug-in entropy
+of integer cell counts c: Σ T[c] / n with T[c] = c·log(n / c)
+(``_entropy_terms``), each sum exact in int64 limbs of T·2⁵³ and rounded
+once (``_entropy_sums``), so it equals ``math.fsum`` of its terms. It keeps
+one table per set of columns (the features, or the labels): bin codes and
+entropies. One kernel,
 ``_mi_pairs``, gives the raw plug-in MI (nats) of any list of column
-pairs, tile by tile: exact joint counts from one ``np.bincount`` over
-joint codes in the narrowest unsigned type; the ratio, ``math.log`` and
-the term once per distinct integer (marginal pair, count) key; and each
-pair's terms, or on a tile of few keys the exact multiples of its keys'
-terms, summed correctly rounded by ``_rounded_sums`` (an error-free TwoSum
-tree whose rounding is certified, with ``math.fsum`` for the rare row it
-cannot certify). ``_nmi_pairs`` divides by the smaller marginal entropy,
-into [0, 1]. Blocks, scalar measures, label relevance, ``rdn`` and mRMR
-(which reads the raw MI block) all call the kernel, so a block cell is
-bitwise equal to its scalar measure, and every histogram sum equals
-``math.fsum`` of its terms: measures are exactly symmetric. ``rdn`` sums
-the NMI block's rows left to right with its diagonal zeroed, as the scalar
-``rdn`` sums its one column.
+pairs, tile by tile, from exact joint counts: one ``np.bincount`` over
+joint codes in the narrowest unsigned type. MI thus depends only on the
+multisets of counts: exactly symmetric, unchanged by relabelled bins,
+H(X) for a column with itself and 0 for a one-bin column.
+``_nmi_pairs`` divides by the smaller marginal entropy, into [0, 1].
+Blocks, scalar measures, label relevance, ``rdn`` and mRMR (which reads the
+raw MI block) all call the kernel, so a block cell is bitwise equal to its
+scalar measure. ``rdn`` sums the NMI block's rows left to right with its
+diagonal zeroed, as the scalar ``rdn`` sums its one column.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -262,48 +263,50 @@ def _discretize(
 
 class _MiTable(NamedTuple):  # several features, or the labels, for MI
     codes: np.ndarray  # k × n bin codes, one row per column
-    levels: np.ndarray  # the distinct marginals (integer bin counts / n), ascending
-    level: np.ndarray  # k × width index into levels of each bin's marginal (0.0 past a column's bins)
+    width: int  # the widest bin count: every code lies in [0, width)
     entropy: np.ndarray  # k marginal entropies (nats)
 
 
-_U = 2.0**-53  # float64 unit roundoff
+@functools.lru_cache(maxsize=4)
+def _entropy_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # T[c] = c·log(n / c) for c = 0..n: a histogram of n samples with cell
+    # counts c has plug-in entropy Σ T[c] / n. T[0] = 0 (an empty cell) and
+    # T[n] = n·log 1 = 0, so one occupied cell gives entropy 0 exactly.
+    # math.log, not np.log, which differs from it in the last bit on some
+    # inputs. Every other T[c] is at least min(log n, 1 − 1/n) ≥ ½, so its
+    # ulp is at least 2⁻⁵³ and T[c]·2⁵³ is an integer, below 2⁵³·n: it is
+    # kept exactly as two int64 limbs, hi·2³² + lo with 0 ≤ lo < 2³² (the
+    # float floor, product and difference below are all exact). Read-only:
+    # the cache shares them between calls.
+    scaled = np.zeros(n + 1)
+    scaled[1:] = np.fromiter((c * math.log(n / c) for c in range(1, n + 1)), np.float64, n)
+    scaled *= 2.0**53
+    hi = np.floor(scaled / 2.0**32)
+    limbs = hi.astype(np.int64), (scaled - hi * 2.0**32).astype(np.int64)
+    for limb in limbs:
+        limb.flags.writeable = False
+    return limbs
 
 
-def _rounded_sums(terms: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each row of a 2-D array: ``math.fsum`` bitwise.
+def _entropy_sums(counts: np.ndarray, n: int) -> np.ndarray:
+    """Σ T[c] over each row of a k × w array of counts of n samples,
+    correctly rounded: the ``math.fsum`` of the row's terms, bitwise.
 
-    A pairwise tree of error-free TwoSums over a row's terms, zero-padded
-    to K + 1 (a power of two), gives ``s`` and K errors ``e`` with
-    ``s + Σe`` the row's exact sum. The errors add up in float to ``c``
-    with ``|c − Σe| < bound``, and ``r = fl(s + c)`` with rounding error
-    ``δ``. When ``|δ| + bound`` is below half the gap from ``r`` to
-    its nearer neighbour, the exact sum rounds to ``r`` (Ogita, Rump &
-    Oishi 2005). A row not so certified, or summing to zero (whose sign
-    ``math.fsum`` decides), is summed by ``math.fsum``.
+    Each limb of T·2⁵³ sums exactly in int64 (Σ hi ≤ 2²¹·n·log n and
+    Σ lo < w·2³²). After the carry the row's exact sum is
+    (hi·2³² + lo)·2⁻⁵³ with 0 ≤ lo < 2³². With a = fl(hi) and d = hi − a
+    (|d| ≤ 2⁹, and 0 below 2⁵³), a·2³² and d·2³² + lo are exact floats, so
+    one addition rounds the sum once, to nearest even as ``math.fsum``
+    does.
     """
-    width = 1 << (terms.shape[1] - 1).bit_length()  # zero-padded to a power of two
-    s = np.zeros((len(terms), width))
-    s[:, :terms.shape[1]] = terms
-    e = np.empty((len(terms), width - 1))  # the errors, level by level
-    while width > 1:
-        width //= 2
-        a, b = s[:, :width], s[:, width:]
-        s = a + b
-        z = s - a
-        np.add(a - (s - z), b - z, out=e[:, width - 1:2 * width - 1])
-    s = s[:, 0]
-    c = e.sum(axis=1)
-    r = s + c
-    z = r - s
-    delta = (s - (r - z)) + (c - z)
-    # 2(K+1)u·Σ|e| covers any order of the float sums of e and of |e|; the
-    # smallest subnormal covers the rounding of u·Σ|e| near underflow.
-    bound = 2.0 * (e.shape[1] + 1) * np.abs(e).sum(axis=1) * _U + 5e-324
-    half_gap = 0.5 * np.minimum(np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf))
-    for row in np.flatnonzero(~(np.abs(delta) + bound < half_gap) | (r == 0.0)):
-        r[row] = math.fsum(terms[row].tolist())
-    return r
+    hi_terms, lo_terms = _entropy_terms(n)
+    hi = hi_terms[counts].sum(axis=1)
+    lo = lo_terms[counts].sum(axis=1)
+    hi += lo >> 32
+    lo &= 0xFFFFFFFF
+    a = hi.astype(np.float64)
+    lo += (hi - a.astype(np.int64)) << 32
+    return (a * 2.0**32 + lo) * 2.0**-53
 
 
 def _bincounts(codes: np.ndarray, bins: int) -> np.ndarray:
@@ -315,16 +318,12 @@ def _bincounts(codes: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _coded_table(codes: np.ndarray, width: int) -> _MiTable:
-    # math.log once per distinct marginal: np.log differs from it in the last
-    # bit on some inputs, and math.log is what the plug-in definition reads.
-    # Marginal counts tile by tile, in an int64 scratch copy of each tile.
+    # Marginal counts and entropies tile by tile, in an int64 scratch copy of
+    # each tile's codes.
     k, n = codes.shape
-    marginals = np.concatenate([_bincounts(codes[tile].astype(np.int64), width)
-                                for tile in _column_tiles(n, k, _TILE_BYTES)]) / n
-    levels, level = np.unique(marginals, return_inverse=True)
-    level = level.reshape(marginals.shape)
-    logs = np.array([math.log(p) if p > 0.0 else 0.0 for p in levels.tolist()])
-    return _MiTable(codes, levels, level, -_rounded_sums(marginals * logs[level]))
+    sums = [_entropy_sums(_bincounts(codes[tile].astype(np.int64), width), n)
+            for tile in _column_tiles(n, k, _TILE_BYTES)]
+    return _MiTable(codes, width, np.concatenate(sums) / n)
 
 
 def _mi_table(
@@ -340,106 +339,39 @@ def _label_table(labels: np.ndarray) -> _MiTable:
     return _coded_table(codes.astype(np.int64).reshape(1, -1), int(classes.size))
 
 
-def _distinct_keys(pair: np.ndarray, count: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (pair, count) keys of some cells, and each cell's index
-    into them: ``np.unique`` of the keys, with ``return_inverse``.
-
-    Counts lie in [0, span). Returns the distinct pairs and counts, ascending
-    by (pair, count), and an index array shaped as the cells. Below 2⁶³ a key
-    is the exact int64 ``pair·span + count``, built in ``pair`` (a scratch
-    array); a presence mask finds the distinct keys while their range is
-    within twice the cell count, a sort otherwise, which bounds the mask's
-    memory by the tile's. A feature tile on few distinct marginals takes the
-    mask, which saves ~4 ms of a 500×60 MI block's ~13 over the sort; a tile
-    of few cells on long columns takes the sort. A range past 2⁶³ keys on
-    the (pair, count) rows themselves.
-    """
-    keys = (int(pair.max()) + 1) * span
-    if keys > np.iinfo(np.int64).max:
-        rows, inverse = np.unique(np.stack([pair.ravel(), count.ravel()], axis=1), axis=0, return_inverse=True)
-        return rows[:, 0], rows[:, 1], inverse.reshape(pair.shape)
-    pair *= span
-    pair += count
-    if keys <= 2 * pair.size:
-        present = np.zeros(keys, dtype=bool)
-        present[pair] = True
-        distinct = np.flatnonzero(present)
-        inverse = (np.cumsum(present) - 1)[pair]
-    else:
-        distinct, inverse = np.unique(pair, return_inverse=True)
-    return distinct // span, distinct % span, inverse.reshape(pair.shape)
-
-
-def _summed_by_key(terms: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    # The correctly rounded sum of terms[inverse[p]] for each row p of cells
-    # key indices (inverse is a scratch array). With fewer than half as many
-    # keys as cells, a row sums its keys' multiples: a multiplicity is at most
-    # cells < 2^b, and Veltkamp's split by 2^b + 1 (Dekker 1971) leaves a
-    # term's hi with 53 − b bits and its lo with b − 1, so mult·hi and
-    # mult·lo are exact while 2b − 1 ≤ 53, and the row's 2K products add up
-    # to its exact sum. Pairs of 2²⁶ cells or more sum per cell.
-    cells = inverse.shape[1]
-    keys, bits = len(terms), cells.bit_length()
-    if 2 * keys >= cells or bits > 26:
-        return _rounded_sums(terms[inverse])
-    mult = _bincounts(inverse, keys)
-    big = terms * float(2**bits + 1)
-    hi = big - (big - terms)
-    split = np.empty((len(mult), 2 * keys))
-    np.multiply(mult, hi, out=split[:, :keys])
-    np.multiply(mult, terms - hi, out=split[:, keys:])
-    return _rounded_sums(split)
-
-
 def _mi_pairs(left: _MiTable, i, right: _MiTable, j) -> np.ndarray:
     """Raw plug-in MI (nats) of ``left`` column ``i[p]`` and ``right`` column
     ``j[p]``, for every p.
 
-    A pair's joint table is a wl × wr slab of exact counts, wl and wr being
-    the two tables' widest bin counts. A cell's term is
-    ``joint · log(joint / (pa·pb))``, 0.0 when empty, and each pair sums its
-    terms correctly rounded, as ``math.fsum`` does. A term depends only on
-    its cell's count and two marginals, so each tile keys its cells by the
-    integer (marginal pair, count) and computes the ratio, ``math.log`` and
-    the term once per distinct key; a pair then sums either its cells' terms
-    or, on a tile of few keys, its keys' exact multiples (``_summed_by_key``).
-    Tiles of pairs keep the temporaries near ``_TILE_BYTES``: the pair codes
-    take two 8-byte arrays of n a pair at most (joint codes plus row offsets
-    are held in the narrowest unsigned type that fits them, and each count
-    tile's rows are gathered from the tables' own codes and cast there, so
-    no table is copied whole); the cell stages about ten 8-byte arrays of
-    wl·wr (counts, keys, their index, the gathered terms, the sum's padded
-    rows and errors, and at most two for the presence mask's index).
+    MI is H(X) + H(Y) − H(X, Y), clipped at 0. The marginal entropies are
+    the tables' own; a pair's joint entropy is ``_entropy_sums`` of its
+    wl × wr slab of exact counts, over n (wl and wr being the two tables'
+    widths), as the marginals are. So MI depends only on the multisets of
+    counts: relabelling the bins of either column leaves it unchanged, a
+    column paired with itself has H(X, X) = H(X) bitwise and MI = H(X), and
+    a one-bin column has MI 0. Tiles of pairs keep the temporaries near
+    ``_TILE_BYTES``: a pair's codes take at most two 8-byte arrays of n
+    (joint codes plus row offsets are held in the narrowest unsigned type
+    that fits them, and each tile's rows are gathered from the tables' own
+    codes and cast there, so no table is copied whole), and its counts and
+    one gathered limb at a time two int64 arrays of wl·wr.
     """
     n = left.codes.shape[1]
-    wl, wr = left.level.shape[1], right.level.shape[1]
-    cells = wl * wr
-    count_step = max(_TILE_BYTES // (16 * n), 1)
+    cells = left.width * right.width
+    step = max(_TILE_BYTES // (16 * max(n, cells)), 1)
     # Joint codes plus row offsets in the narrowest unsigned type that holds
     # them and the scale wr: the gathers and adds move 2–8 times fewer bytes
     # than in int64. Gathered rows are cast before they are scaled or added,
     # so narrow codes never wrap.
-    code_type = np.min_scalar_type(min(count_step, len(i)) * cells)
-    nr = len(right.levels)
-    left_pair = left.level * nr  # marginal pair index a·nr + b, left part
+    code_type = np.min_scalar_type(min(step, len(i)) * cells)
     out = np.empty(len(i))
-    step = max(_TILE_BYTES // (80 * cells), 1)
     for start in range(0, len(i), step):
         ti, tj = i[start:start + step], j[start:start + step]
-        counts = []
-        for k in range(0, len(ti), count_step):
-            codes = left.codes[ti[k:k + count_step]].astype(code_type, copy=False)  # a gather: a fresh array
-            codes *= wr  # joint codes a·wr + b
-            codes += right.codes[tj[k:k + count_step]].astype(code_type, copy=False)
-            counts.append(_bincounts(codes, cells))
-        counts = np.concatenate(counts)
-        pair = (left_pair[ti][:, :, None] + right.level[tj][:, None, :]).reshape(len(ti), cells)
-        pairs, hits, inverse = _distinct_keys(pair, counts, n + 1)
-        joint = hits / n
-        expected = left.levels[pairs // nr] * right.levels[pairs % nr]
-        ratio = np.divide(joint, expected, out=np.ones_like(joint), where=hits > 0)
-        terms = joint * np.array([math.log(r) for r in ratio.tolist()])
-        out[start:start + len(ti)] = _summed_by_key(terms, inverse)
+        codes = left.codes[ti].astype(code_type, copy=False)  # a gather: a fresh array
+        codes *= right.width  # joint codes a·wr + b
+        codes += right.codes[tj].astype(code_type, copy=False)
+        joint = _entropy_sums(_bincounts(codes, cells), n) / n
+        out[start:start + len(ti)] = (left.entropy[ti] + right.entropy[tj]) - joint
     return np.maximum(out, 0.0)
 
 

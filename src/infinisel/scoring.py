@@ -46,31 +46,48 @@ def _as_matrix(a) -> np.ndarray:
     return a.a if isinstance(a, AdjacencyMatrix) else _checked_matrix(a)
 
 
-def spectral_radius(a) -> float:
-    """Largest eigenvalue magnitude of a symmetric nonnegative matrix.
-
-    Power iteration from the all-ones vector, which cannot be orthogonal to
-    the dominant eigenvector of a nonnegative matrix. Returns 0 for the
-    zero matrix so callers can short-circuit. Raises ValueError if a plain
-    array fails ``AdjacencyMatrix``'s checks, RuntimeError if the estimate
-    has not stabilized to relative tolerance ``_POWER_TOL`` within
-    ``_POWER_STEPS`` iterations.
-    """
-    a = _as_matrix(a)
-    m = a.shape[0]
-    if m == 1:
-        return abs(float(a[0, 0]))
-    v = np.full(m, 1.0 / np.sqrt(m))
+def _power_iteration(a: np.ndarray) -> tuple[float, bool]:
+    # ‖A v‖ from the all-ones start, and whether it stabilised to relative
+    # tolerance _POWER_TOL within _POWER_STEPS steps (0 for the zero matrix).
+    v = np.full(len(a), 1.0 / np.sqrt(len(a)))
     estimate = 0.0
     for _ in range(_POWER_STEPS):
         w = a @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
-            return 0.0
+            return 0.0, True
         v = w / norm
         if abs(norm - estimate) <= _POWER_TOL * norm:
-            return norm
+            return norm, True
         estimate = norm
+    return estimate, False
+
+
+def spectral_radius(a) -> float:
+    """Largest eigenvalue magnitude of a symmetric nonnegative matrix.
+
+    Power iteration from the all-ones vector, which cannot be orthogonal to
+    the dominant eigenvector of a nonnegative matrix. Returns 0 for the
+    zero matrix so callers can short-circuit. When −ρ is nearly an
+    eigenvalue too, the iteration cannot settle within ``_POWER_STEPS``
+    steps; it then runs on A + sI, s half the largest row sum, whose
+    eigenvalues λ + s have ρ + s alone on top (ρ ≤ the largest row sum),
+    and returns that estimate minus s. Raises ValueError if a plain array
+    fails ``AdjacencyMatrix``'s checks, RuntimeError if the shifted
+    estimate has not stabilized to relative tolerance ``_POWER_TOL`` within
+    ``_POWER_STEPS`` iterations either.
+    """
+    a = _as_matrix(a)
+    m = a.shape[0]
+    if m == 1:
+        return abs(float(a[0, 0]))
+    estimate, converged = _power_iteration(a)
+    if converged:
+        return estimate
+    shift = 0.5 * float(a.sum(axis=1).max())
+    shifted, converged = _power_iteration(a + shift * np.eye(m))
+    if converged:
+        return shifted - shift
     raise RuntimeError(
         f"power iteration did not converge within {_POWER_STEPS} iterations (last estimate {estimate})"
     )

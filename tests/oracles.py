@@ -5,13 +5,16 @@ paths: contingency tables are built by boolean masks, Spearman midranks by
 explicit tie averaging with dot products in Python integers, and walk
 energies go through an explicit eigendecomposition plus matrix inverse, or
 through truncated path sums. CSV files are read by ``csv.reader`` and
-parsed cell by cell. Mutual information also has the per-pair loop the
-vectorised kernel replaced: one ``np.bincount`` and one ``math.fsum`` per
-pair, its bitwise reference; and bin codes the per-column discretization
-that the one-pass ``_discretize`` replaced. ``midranks_untiled`` and
-``discretize_untiled`` rank and bin every column in one pass, as the
-column-tiled ``_midranks`` and ``_discretize`` did before they were tiled:
-their bitwise references.
+parsed cell by cell. Mutual information is H(X) + H(Y) − H(X, Y), each
+plug-in entropy ``math.fsum`` of c·log(n / c) over its cell counts c,
+divided by n: counted by boolean masks in ``plugin_mi``, and by one
+``np.bincount`` per pair in the per-pair loop (``_mi``), the kernel's
+bitwise references. ``plugin_mi_cells`` keeps the textbook per-cell sum
+of p·log(p / (pa·pb)) as a reference to within rounding. Bin codes have
+the per-column discretization that the one-pass ``_discretize`` replaced.
+``midranks_untiled`` and ``discretize_untiled`` rank and bin every column
+in one pass, as the column-tiled ``_midranks`` and ``_discretize`` did
+before they were tiled: their bitwise references.
 """
 
 import csv
@@ -24,9 +27,28 @@ from infinisel.dataset import Dataset, DataError, _is_number, _parse_cell, _pars
 from infinisel.measures import BinningPolicy, _midranks
 
 
+def plugin_entropy(counts, n):
+    """Plug-in entropy (nats) of n samples in cells of these integer counts:
+    the ``math.fsum`` of c·log(n / c) over the occupied cells, over n."""
+    return math.fsum(c * math.log(n / c) for c in counts if c > 0) / n
+
+
 def plugin_mi(x_codes, y_codes):
-    # fsum keeps the total independent of term order, so exact ties between
-    # symmetric histograms stay bitwise ties.
+    """Plug-in MI (nats) as H(X) + H(Y) − H(X, Y), clipped at 0, with every
+    cell counted by a boolean mask. It reads only the multisets of counts, so
+    pairs whose counts agree tie bitwise."""
+    n = len(x_codes)
+    xs, ys = np.unique(x_codes), np.unique(y_codes)
+    hx = plugin_entropy([int(np.sum(x_codes == a)) for a in xs], n)
+    hy = plugin_entropy([int(np.sum(y_codes == b)) for b in ys], n)
+    hxy = plugin_entropy([int(np.sum((x_codes == a) & (y_codes == b))) for a in xs for b in ys], n)
+    return max((hx + hy) - hxy, 0.0)
+
+
+def plugin_mi_cells(x_codes, y_codes):
+    """The textbook per-cell form: ``math.fsum`` of p·log(p / (pa·pb)) over
+    the occupied cells of the joint table. Equal to ``plugin_mi`` in exact
+    arithmetic; the two round apart."""
     terms = []
     for a in np.unique(x_codes):
         for b in np.unique(y_codes):
@@ -277,13 +299,11 @@ def discretize_untiled(values: np.ndarray, policy: BinningPolicy,
 class _MiState(NamedTuple):  # one feature or the labels, for MI
     codes: np.ndarray
     bins: int
-    marginal: np.ndarray  # integer bin counts / n: exact joint-table sums
     entropy: float
 
 
 def _mi_state(codes: np.ndarray, bins: int) -> _MiState:
-    marginal = np.bincount(codes, minlength=bins) / codes.size
-    return _MiState(codes, bins, marginal, -math.fsum(p * math.log(p) for p in marginal if p > 0.0))
+    return _MiState(codes, bins, plugin_entropy(np.bincount(codes, minlength=bins).tolist(), codes.size))
 
 
 def _mi_states(values: np.ndarray, policy: BinningPolicy, ranks: np.ndarray | None = None) -> list[_MiState]:
@@ -299,14 +319,10 @@ def _label_state(labels: np.ndarray) -> _MiState:
 
 
 def _mi(a: _MiState, b: _MiState) -> float:
-    """Raw plug-in MI (nats), summed over the occupied cells of the joint table."""
-    (ca, ba, pa, _), (cb, bb, pb, _) = a, b
-    counts = np.bincount(ca * bb + cb, minlength=ba * bb).reshape(ba, bb)
-    i, j = np.nonzero(counts)
-    joint = counts[i, j] / ca.size
-    ratio = joint / (pa[i] * pb[j])
-    mi = math.fsum(p * math.log(r) for p, r in zip(joint.tolist(), ratio.tolist()))
-    return max(mi, 0.0)
+    """Raw plug-in MI (nats): the marginal entropies plus the joint table's,
+    from one ``np.bincount`` of the pair's joint codes."""
+    joint = np.bincount(a.codes * b.bins + b.codes, minlength=a.bins * b.bins)
+    return max((a.entropy + b.entropy) - plugin_entropy(joint.tolist(), a.codes.size), 0.0)
 
 
 def _nmi(a: _MiState, b: _MiState) -> float:

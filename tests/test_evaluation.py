@@ -430,6 +430,18 @@ class TestEvaluateSelector:
         with pytest.raises(ConfigError, match="fold count must be an integer, got 2.5"):
             evaluate_selector(train, test, config, n_grid=(3,), folds=2.5, cost_grid=(1.0,))
 
+    def test_fixed_alpha_checks_the_fold_plan(self):
+        # No cross validation runs, but the report would record the seed.
+        rng = np.random.default_rng(68)
+        train, test = labeled_dataset(rng, 40, 5), labeled_dataset(rng, 30, 5)
+        config = SelectorConfig(variant="ifs", alpha=0.5)
+        with pytest.raises(ConfigError, match="fold seed must be a non-negative integer, got -7"):
+            evaluate_selector(train, test, config, folds=2.5, seed=-7)
+        with pytest.raises(ConfigError, match="fold count must be an integer, got 2.5"):
+            evaluate_selector(train, test, config, folds=2.5)
+        with pytest.raises(ConfigError, match="need at least 2 folds, got 1"):
+            evaluate_selector(train, test, config, folds=1)
+
     def test_nonpositive_top_n_rejected(self):
         rng = np.random.default_rng(68)
         train, test = labeled_dataset(rng, 40, 5), labeled_dataset(rng, 30, 5)

@@ -1,5 +1,6 @@
 """Property tests for normalized mutual information (symmetric blocks in
-[0, 1], exact invariance under increasing transforms, self-NMI) and for
+[0, 1], exact invariance under increasing transforms, self-NMI exactly 1
+and a constant column's MI exactly 0) and for
 the libsvm loader (malformed text is always a DataError, exit code 2)."""
 
 import contextlib
@@ -9,13 +10,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from infinisel import BinningPolicy, DataError, Dataset, build_measure_cache, load_libsvm
 from infinisel.cli import main
-from infinisel.measures import BINNING_KINDS, _mi_table
+from infinisel.measures import BINNING_KINDS, _mi_pairs, _mi_table, _pair_block
 
 # Small integers give ties, categorical and constant columns; wide floats
 # give the rest.
@@ -57,19 +58,21 @@ def test_nmi_invariant_under_increasing_transform(values, bins, data):
 
 @PROPERTY
 @given(MATRICES, POLICIES)
+@example(np.array([[0.0], [0.0], [0.0], [0.0], [1.0]]), BinningPolicy())  # the per-cell form gave 0.9999999999999998
 def test_self_nmi_of_a_nonconstant_column(values, policy):
-    # MI(x; x) sums p·log(p / (p·p)) and H(x) sums −p·log(p): equal in exact
-    # arithmetic, but rounded apart. Their ratio is 1 to within about
-    # (2/H + 9) units of roundoff, and may fall just below 1.0: the column
-    # [0, 0, 0, 0, 1] gives 0.9999999999999998.
+    # H(X, X) sums the same counts as H(X), so MI(X; X) = (H + H) − H is H
+    # bitwise and self-NMI is exactly 1. A constant column has one occupied
+    # bin: entropy 0, and MI exactly 0 with every column.
     block = nmi_block(values, policy)
-    entropy = _mi_table(values, policy).entropy
+    table = _mi_table(values, policy)
+    mi = _pair_block(table, _mi_pairs)
     for i in range(values.shape[1]):
         if np.ptp(values[:, i]) > 0.0:
-            assert entropy[i] > 0.0
-            assert 1.0 - (4.0 / entropy[i] + 16.0) * 2.0**-53 <= block[i, i] <= 1.0
+            assert table.entropy[i] > 0.0
+            assert block[i, i] == 1.0 and mi[i, i] == table.entropy[i]
         else:
-            assert block[i, i] == 0.0
+            assert table.entropy[i] == 0.0
+            assert not mi[i].any() and not block[i].any()
 
 
 LABEL = st.sampled_from(["-1", "0", "1", "2", "+1"])

@@ -605,9 +605,14 @@ class TestColumnTiles:
         # cache's and mRMR's pairs run in many tiles, one sum each, and give
         # the bytes of the 768 KiB run.
         d = Dataset(tile_columns(n, 5, seed=3), labels=np.arange(n) % 2)
-        summed_by_key, tiles = measures._summed_by_key, []
-        monkeypatch.setattr(measures, "_summed_by_key",
-                            lambda terms, inverse: tiles.append(len(inverse)) or summed_by_key(terms, inverse))
+        entropy_sums, tiles = measures._entropy_sums, []
+
+        def spy(counts, n):  # counts the sums of pair tiles, not those of marginal entropies
+            if sys._getframe(1).f_code.co_name == "_mi_pairs":
+                tiles.append(len(counts))
+            return entropy_sums(counts, n)
+
+        monkeypatch.setattr(measures, "_entropy_sums", spy)
         flags = dict(need_mi_matrix=True, need_relevance=True)
         runs = []
         for budget in (8 * n * WIDTH, 768 << 10):

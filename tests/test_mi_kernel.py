@@ -1,9 +1,9 @@
-"""The vectorised mutual-information kernel against the per-pair loop it
-replaced (``oracles._mi``, ``_nmi`` and ``_symmetric_block``), bitwise; its
-correctly rounded row sum and its sum by key multiplicity against
-``math.fsum``; its key de-duplication against ``np.unique``; the one-pass
-bin codes against the per-column discretization; and the one-reduction std
-against ``feature_std``."""
+"""The vectorised mutual-information kernel against the per-pair loop
+(``oracles._mi``, ``_nmi`` and ``_symmetric_block``), bitwise, and against
+the textbook per-cell sum to within rounding; its invariance under
+relabelled bins; its exact entropy-term sums against ``math.fsum``; the
+one-pass bin codes against the per-column discretization; and the
+one-reduction std against ``feature_std``."""
 
 import math
 import warnings
@@ -26,8 +26,10 @@ from infinisel import (
 )
 from infinisel.measures import (
     _TILE_BYTES,
+    _coded_table,
     _discretize,
-    _distinct_keys,
+    _entropy_sums,
+    _entropy_terms,
     _label_pairs,
     _label_table,
     _mi_pairs,
@@ -35,52 +37,87 @@ from infinisel.measures import (
     _midranks,
     _nmi_pairs,
     _pair_block,
-    _rounded_sums,
-    _summed_by_key,
 )
 
-# Mantissa · 2^e from the smallest subnormal to about ±1e300.
-WIDE = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 996))
-PLAIN = st.one_of(WIDE, st.integers(-4, 4).map(float), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+def terms_of(n, counts):
+    # The entropy terms c·log(n / c) of a row's occupied cells, in Python floats.
+    return [c * math.log(n / c) for c in counts if c > 0]
+
+
+def test_entropy_terms_are_exact_limbs():
+    # Every T[c] = c·log(n / c) other than T[0] = T[n] = 0 is at least ½, so
+    # T[c]·2⁵³ is an integer, and the limbs hold it exactly.
+    for n in [*range(1, 300), 1000, 4096, 65537]:
+        hi, lo = _entropy_terms(n)
+        terms = [0.0, *(c * math.log(n / c) for c in range(1, n + 1))]
+        assert terms[n] == 0.0 and min(terms[1:n], default=0.5) >= 0.5
+        assert all((t * 2.0**53).is_integer() for t in terms)
+        assert [h * 2**32 + l for h, l in zip(hi.tolist(), lo.tolist())] == [int(t * 2.0**53) for t in terms]
+        assert 0 <= lo.min() and lo.max() < 2**32
 
 
 @st.composite
-def rows(draw):
-    """Rows of one length: cancelling pairs (x, −x), exact halfway ties
-    (x, ½·ulp(x)), wide exponents, subnormals and all-zero rows."""
-    length = draw(st.integers(1, 33))
+def count_rows(draw):
+    """Rows of counts of n samples: whole histograms, whose counts add up
+    to n, and loose rows of any counts up to n."""
+    n = draw(st.integers(1, 3000))
+    width = draw(st.integers(1, 40))
     out = []
-    for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["plain", "cancel", "tie", "zero"]))
-        if kind == "zero":
-            row = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=length, max_size=length))
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            cuts = sorted(draw(st.lists(st.integers(0, n), min_size=width - 1, max_size=width - 1)))
+            out.append(np.diff([0, *cuts, n]).tolist())
         else:
-            row = draw(st.lists(PLAIN, min_size=length, max_size=length))
-            for k in range(0, length - 1, 2):
-                if kind == "cancel":
-                    row[k + 1] = -row[k]
-                elif kind == "tie":
-                    row[k + 1] = math.copysign(math.ulp(row[k]) / 2, draw(st.sampled_from([1.0, -1.0])))
-        out.append(draw(st.permutations(row)))
-    return out
+            out.append(draw(st.lists(st.integers(0, n), min_size=width, max_size=width)))
+    return n, np.array(out, dtype=np.int64)
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows())
-def test_rounded_sums_equal_fsum_bitwise(batch):
-    expected = np.array([math.fsum(row) for row in batch])
-    assert _rounded_sums(np.array(batch)).tobytes() == expected.tobytes()
+@given(count_rows())
+def test_entropy_sums_equal_fsum_bitwise(case):
+    n, counts = case
+    expected = np.array([math.fsum(terms_of(n, row)) for row in counts.tolist()])
+    assert _entropy_sums(counts, n).tobytes() == expected.tobytes()
 
 
-def test_halfway_tie_takes_the_fsum_fallback(monkeypatch):
-    # 1 + 2⁻⁵³ lies halfway between 1 and its successor: no float estimate
-    # can certify the rounding, so that row, and only it, goes to fsum.
-    calls = []
-    fsum = math.fsum
-    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(list(terms)) or fsum(calls[-1]))
-    got = _rounded_sums(np.array([[1.0, 2.0**-53], [1.0, 2.0]]))
-    assert got.tolist() == [1.0, 3.0]
-    assert calls == [[1.0, 2.0**-53]]
+def test_entropy_sums_round_halfway_ties_to_even():
+    # Rows of two counts and an empty cell whose exact sum lies halfway
+    # between two floats, found by exact integer sums of T·2⁵³: one rounding
+    # of the exact sum, as math.fsum does, goes to the even neighbour, up or
+    # down.
+    ties = {"up": [], "down": []}
+    for n in range(2, 120):
+        scaled = [int(t * 2.0**53) for t in [0.0, *(c * math.log(n / c) for c in range(1, n + 1))]]
+        for row in ([a, b] for a in range(1, n) for b in range(a, n)):
+            exact = sum(scaled[c] for c in row)
+            drop = exact.bit_length() - 53
+            if drop > 0 and exact % (1 << drop) == 1 << (drop - 1):
+                kept = exact >> drop
+                ties["up" if kept % 2 else "down"].append((n, row + [0]))
+        if min(len(v) for v in ties.values()) >= 20:
+            break
+    assert min(len(v) for v in ties.values()) >= 20
+    for n, row in ties["up"] + ties["down"]:
+        got = _entropy_sums(np.array([row, row[::-1]]), n)
+        assert got.tolist() == [math.fsum(terms_of(n, row))] * 2
+
+
+def test_entropy_sums_round_once_past_2_to_the_53(monkeypatch):
+    # A high limb sum past 2⁵³ (about 2·10⁸ samples or more) is not exact
+    # as a float: its rounding error joins the low limb before the one
+    # rounding. Limbs as large as int64 allows stand in for such a table.
+    # Each high limb is 2⁸ past a multiple of 2¹⁰, so a pair's high sum, in
+    # [2⁶², 2⁶³) where floats are 2¹⁰ apart, lies halfway between two of
+    # them: rounding it alone would go to even, and the low limbs must
+    # round the exact sum up.
+    rng = np.random.default_rng(5)
+    hi = 2**61 + rng.integers(0, 2**50, 64) * 2**10 + 2**8
+    lo = rng.integers(1, 2**31, 64)
+    monkeypatch.setattr(measures, "_entropy_terms", lambda n: (hi, lo))
+    counts = rng.integers(0, 64, (500, 2))
+    exact = [sum(int(hi[c]) * 2**32 + int(lo[c]) for c in row) for row in counts.tolist()]
+    assert _entropy_sums(counts, 0).tolist() == [v / 2**53 for v in exact]  # int / int rounds once
 
 
 def column(rng, n, kind):
@@ -146,9 +183,8 @@ def test_one_pair_per_tile_gives_the_bytes_of_one_tile(monkeypatch):
 @st.composite
 def kernel_cases(draw):
     """Columns, labels, a policy and a tile budget. A small budget puts one
-    pair or a few in a tile, so a tile of few distinct keys (many bins on
-    short columns) sums by multiplicity and one of many (few bins) per
-    cell; 400 bins keep a column of 257–400 levels categorical."""
+    pair or a few in a tile, and in a count tile; 400 bins keep a column of
+    257–400 levels categorical, so its joint codes need 32 bits."""
     n = draw(st.one_of(st.integers(2, 40), st.integers(257, 600)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.sampled_from(KINDS + ("wide",)), min_size=1, max_size=5))
@@ -175,51 +211,62 @@ def test_tiled_kernel_matches_per_pair_loop_bitwise(case):
         assert got.tobytes() == np.array([oracles._mi(s, label) for s in states]).tobytes()
 
 
-def test_small_tiles_take_both_sum_branches_and_wide_codes(monkeypatch):
-    # Spies on the sum's row width (the cells of a pair, or twice a tile's
-    # keys) and on the joint codes' dtype prove the cases above are reached.
+def test_small_tiles_reach_wide_joint_codes(monkeypatch):
+    # A spy on the joint codes' dtype proves that one-pair tiles reach the
+    # 8-bit codes of few bins and the 32-bit codes past 256 bins.
     rng = np.random.default_rng(11)
     values = np.column_stack([column(rng, 600, kind) for kind in ("normal", "ties", "wide", "wide")])
     labels = rng.integers(0, 3, 600)
     tables = [(_mi_table(values, BinningPolicy(bin_count=bins)), _label_table(labels)) for bins in (2, 400)]
-    widths, dtypes = [], set()
-    rounded_sums, bincounts = measures._rounded_sums, measures._bincounts
-    monkeypatch.setattr(measures, "_rounded_sums", lambda terms: widths.append(terms.shape[1]) or rounded_sums(terms))
+    dtypes = set()
+    bincounts = measures._bincounts
     monkeypatch.setattr(measures, "_bincounts",
                         lambda codes, bins: dtypes.add(codes.dtype.name) or bincounts(codes, bins))
     monkeypatch.setattr(measures, "_TILE_BYTES", 1)
-    branches = set()
     for table, label in tables:
         i, j = np.triu_indices(4)
         for left, a, right, b in ((table, i, table, j), (table, np.arange(4), label, np.zeros(4, dtype=np.int64))):
-            cells = left.level.shape[1] * right.level.shape[1]
-            del widths[:]
             _mi_pairs(left, a, right, b)
-            branches |= {"cell" if w == cells else "key" for w in widths}
-            assert all(w == cells or (w % 2 == 0 and w < cells) for w in widths)
-    assert branches == {"cell", "key"}
     assert {"uint8", "uint32"} <= dtypes
 
 
 @st.composite
-def keyed_rows(draw):
-    """MI-like terms (zero, or 1e-30 to 1e3 in magnitude), and rows of key
-    indices into them: few keys to many cells, so multiplicities run high."""
-    keys = draw(st.integers(1, 8))
-    magnitude = st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-99, 10))
-    term = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda t: -t))
-    terms = draw(st.lists(term, min_size=keys, max_size=keys))
-    cells = draw(st.integers(1, 300))
-    inverse = draw(arrays(np.int64, (draw(st.integers(1, 4)), cells), elements=st.integers(0, keys - 1)))
-    return np.array(terms), inverse, cells
+def coded_pairs(draw):
+    """Two columns of bin codes of n samples (1–6 and 1–12 bins, some
+    left empty), each with a permutation of its bin labels."""
+    n = draw(st.integers(1, 60))
+    columns = []
+    for top in (6, 12):
+        bins = draw(st.integers(1, top))
+        codes = draw(arrays(np.int64, n, elements=st.integers(0, bins - 1)))
+        columns.append((codes, bins, np.array(draw(st.permutations(range(bins))))))
+    return columns
+
+
+def pair_mi(x, y, width):
+    table = _coded_table(np.stack([x, y]), width)
+    return _mi_pairs(table, [0], table, [1])[0]
 
 
 @settings(max_examples=300, deadline=None)
-@given(keyed_rows())
-def test_sum_by_key_multiplicity_equals_fsum_bitwise(case):
-    terms, inverse, cells = case
-    expected = np.array([math.fsum(terms[row].tolist()) for row in inverse])
-    assert _summed_by_key(terms, inverse.copy()).tobytes() == expected.tobytes()
+@given(coded_pairs())
+def test_relabelled_bins_leave_mi_bitwise_unchanged(case):
+    # MI reads only the multisets of marginal and joint counts.
+    (x, bx, px), (y, by, py) = case
+    width = max(bx, by)
+    mi = pair_mi(x, y, width)
+    assert pair_mi(px[x], y, width) == pair_mi(x, py[y], width) == pair_mi(px[x], py[y], width) == mi
+    assert mi == oracles.plugin_mi(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coded_pairs())
+def test_mi_is_the_per_cell_sum_to_within_rounding(case):
+    # H(X) + H(Y) − H(X, Y) and the sum of p·log(p / (pa·pb)) agree in exact
+    # arithmetic; in float64 they differ by a few units of roundoff of the
+    # entropies (at most 2.2e-15 observed at these sizes).
+    (x, bx, _), (y, by, _) = case
+    assert abs(pair_mi(x, y, max(bx, by)) - oracles.plugin_mi_cells(x, y)) <= 1e-12
 
 
 @st.composite
@@ -295,35 +342,3 @@ def test_cache_std_equals_feature_std(values):
     dataset = Dataset(values)
     std = build_measure_cache(dataset, BinningPolicy()).std
     assert std.tobytes() == np.array([feature_std(dataset, i) for i in range(dataset.m)]).tobytes()
-
-
-def unique_keys(pair, count):
-    keys = sorted(set(zip(pair.ravel().tolist(), count.ravel().tolist())))
-    index = {key: k for k, key in enumerate(keys)}
-    inverse = [index[key] for key in zip(pair.ravel().tolist(), count.ravel().tolist())]
-    return [p for p, _ in keys], [c for _, c in keys], np.reshape(inverse, pair.shape).tolist()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 30), st.integers(1, 12), st.integers(1, 8), st.sampled_from(["mask", "sort", "wide"]), st.data())
-def test_distinct_keys_equal_unique(rows, cols, pairs, branch, data):
-    # The span picks the branch: a key range within twice the cell
-    # count, one up to 2⁶³ − 1, and one past it (no array of that size is
-    # ever made: the keys are rows of (pair, count)).
-    span = {"mask": 2, "sort": 10**12, "wide": 2**62}[branch]
-    top = min(pairs, rows * cols) if branch == "mask" else pairs
-    cells = st.lists(st.integers(0, top - 1), min_size=rows * cols, max_size=rows * cols)
-    pair = np.array(data.draw(cells), dtype=np.int64).reshape(rows, cols)
-    count = np.array(data.draw(st.lists(st.integers(0, min(span, 2**63) - 1), min_size=rows * cols,
-                                        max_size=rows * cols)), dtype=np.int64).reshape(rows, cols)
-    keys = (int(pair.max()) + 1) * span
-    if branch == "mask":
-        assert keys <= 2 * pair.size
-    elif branch == "sort":
-        assert 2 * pair.size < keys <= 2**63 - 1
-    else:
-        pair[0, 0] = 1  # at least two pair values: a range past 2⁶³
-        assert (int(pair.max()) + 1) * span > 2**63 - 1
-    expected = unique_keys(pair, count)
-    got_pairs, got_counts, inverse = _distinct_keys(pair.copy(), count, span)
-    assert (got_pairs.tolist(), got_counts.tolist(), inverse.tolist()) == expected

@@ -46,6 +46,17 @@ class TestSpectralRadius:
             expected = np.abs(np.linalg.eigvalsh(a)).max()
             assert spectral_radius(a) == pytest.approx(expected, rel=1e-8)
 
+    def test_star_with_nearly_opposite_eigenvalues_converges(self):
+        # Eigenvalues −1.73188 and 1.73222: plain power iteration cannot
+        # settle within the step cap, and the shifted one does.
+        a = np.zeros((5, 5))
+        a[1, 1] = 0.001
+        a[[1, 2, 3], 4] = a[4, [1, 2, 3]] = 1.0
+        expected = np.abs(np.linalg.eigvalsh(a)).max()
+        assert spectral_radius(a) == pytest.approx(expected, rel=1e-9)
+        ranking = energy_scores(a, c=0.9)
+        np.testing.assert_allclose(ranking.scores, inverse_route_scores(a, 0.9), rtol=1e-8)
+
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(scoring, "_POWER_STEPS", 1)
         with pytest.raises(RuntimeError, match="converge"):
