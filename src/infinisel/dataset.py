@@ -336,7 +336,10 @@ def _parse_plain(path: str, label_column: str | None):
         n_lines = _scan(fh)
     if n_lines is None:
         return None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    # Default newline handling: ``_scan`` sent any file holding a CR to
+    # ``_parse_cells``, so universal newlines translate nothing here, and
+    # ``np.loadtxt`` reads this stream faster than a ``newline=""`` one.
+    with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline()
         while first == "\n":
             first = fh.readline()
@@ -405,7 +408,9 @@ def load_csv(path: str, label_column: str | None = None) -> Dataset:
 
     A plain numeric file is first scanned as raw bytes in fixed-size
     chunks (UTF-8 validity, the characters below, line count and length),
-    then parsed by ``np.loadtxt`` reading the open file line by line.
+    then parsed by ``np.loadtxt`` reading the open file line by line, in
+    text mode with default newline handling: any file holding a CR takes
+    the per-cell path, so that translation never changes a byte.
     Memory peaks near twice the value matrix, or a few chunks for a small
     file: the file's text is never held whole, nor all its lines at once.
     Quoted cells, CR line ends, NUL and the control separators

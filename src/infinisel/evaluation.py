@@ -262,6 +262,8 @@ def stratified_fold_indices(labels: np.ndarray, folds: int, seed: int) -> np.nda
 def _effective_n_grid(n_grid, m) -> tuple[int, ...]:
     out = []
     for n in n_grid:
+        if not isinstance(n, (int, np.integer)):
+            raise ConfigError(f"top-N values must be integers, got {n!r}")
         n = int(n)
         if n < 1:
             raise ConfigError(f"top-N values must be positive, got {n}")
@@ -271,15 +273,17 @@ def _effective_n_grid(n_grid, m) -> tuple[int, ...]:
     return tuple(sorted(set(out)))
 
 
-def _holdout(train: Dataset, test: Dataset, grid, n_eval):
+def _holdout(train: Dataset, test: Dataset, grid, n_eval, with_auc=False):
     """Score each (config, cost) entry of ``grid`` on a held-out split.
 
     Fits one scaler per preprocessing scheme on ``train`` only, ranks each
     distinct config once on the scaled training rows (rankings do not
     depend on the classifier cost), then fits one classifier per distinct
     (scheme, ordered top-N columns, cost). Returns, aligned with ``grid``,
-    the per-N ``(accuracy, auc)`` pairs on ``test`` -- ``auc`` is None
-    unless the task is binary -- and each config's ``rank_scaled`` ranking.
+    the per-N ``(accuracy, auc)`` pairs on ``test`` and each config's
+    ``rank_scaled`` ranking. ``auc`` is None unless ``with_auc`` is set and
+    the task is binary: only the final holdout, whose AUCs reach a report,
+    sets it; CV folds average accuracy alone.
     """
     configs = list(dict.fromkeys(config for config, _ in grid))
     scaled, rankings = {}, {}
@@ -307,7 +311,7 @@ def _holdout(train: Dataset, test: Dataset, grid, n_eval):
         test_x = scaled[key[0]][1][:, cols]
         acc = float(np.mean(model.predict(test_x) == test.labels))
         auc = None
-        if isinstance(model, LinearClassifier):
+        if with_auc and isinstance(model, LinearClassifier):
             auc = binary_auc(model.decision_function(test_x), test.labels, model.classes[1])
         scored[key] = (acc, auc)
     return [[scored[key] for key in entry] for entry in entries], rankings
@@ -444,10 +448,10 @@ def _evaluate(
         chosen = [_best(grid[c], scores[c]) if isinstance(c, slice) else c for c in chosen]
 
     n_eval = _effective_n_grid(n_grid, d_train.m)
-    if any(int(n) > d_train.m for n in n_grid):
+    if any(n > d_train.m for n in n_grid):
         warnings.warn(f"top-N values above the feature count were clipped to m={d_train.m}")
 
-    results, rankings = _holdout(d_train, d_test, chosen, n_eval)
+    results, rankings = _holdout(d_train, d_test, chosen, n_eval, with_auc=True)
     out = []
     for (config, cost), per_n in zip(chosen, results):
         accs, aucs = zip(*per_n)

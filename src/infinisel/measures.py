@@ -6,7 +6,9 @@ mutual information over discretized histograms, and the per-feature mean
 redundancy aggregate.
 
 Each call ranks every column at most once, into one integer matrix of
-twice the centred midranks (``_midranks``, which also ranks AUC scores).
+twice the centred midranks (``_midranks``, which also ranks AUC scores);
+a tile of columns with no tie scatters one shared row of ranks and skips
+the tie-run bookkeeping.
 Spearman is its Gram product: float64 BLAS calls small enough for OpenBLAS
 to run on one thread, each an exact integer, added in int64 and rounded
 once to float64; each chunk of rows is converted to float64 on its own.
@@ -105,12 +107,15 @@ def _midranks(values: np.ndarray, dtype: type = np.int64) -> np.ndarray:
     # in ``dtype`` (``_rank_type(n)`` is the narrowest that holds them).
     # One sort per column; a tie run at sorted positions [s, e) has midrank
     # (s + 1 + e) / 2, so its cells get s + e − n. −0.0 and 0.0 tie.
+    # A tile with no tie has s = k and e = k + 1 at every sorted position k,
+    # so it scatters the one row 2k + 1 − n and skips the run bookkeeping.
     # Columns are ranked tile by tile (``_column_tiles``), so the result is
     # the only n×m array: a tile's temporaries are freed or reused once
     # spent, at most three w×n 8-byte arrays and one boolean mask at once.
     n, m = values.shape
     ranks = np.empty((m, n), dtype=dtype)
     k = np.arange(n + 1, dtype=np.int64)
+    untied = (2 * k[:n] + 1 - n).astype(dtype)[None, :]
     for tile in _column_tiles(n, m, _TILE_BYTES):
         rows = np.ascontiguousarray(values[:, tile].T)
         order = np.argsort(rows, axis=1)
@@ -119,6 +124,9 @@ def _midranks(values: np.ndarray, dtype: type = np.int64) -> np.ndarray:
         edge = np.ones((len(order), n + 1), dtype=bool)  # a run starts at k; k = n ends the last
         np.not_equal(ordered[:, 1:], ordered[:, :-1], out=edge[:, 1:n])
         del ordered
+        if edge[:, 1:n].all():
+            np.put_along_axis(ranks[tile], order, untied, axis=1)
+            continue
         starts = np.where(edge, k, 0)
         np.maximum.accumulate(starts, axis=1, out=starts)
         ends = np.where(edge, k, n)[:, ::-1]

@@ -448,6 +448,45 @@ class TestEvaluateSelector:
         with pytest.raises(ConfigError, match="top-N values must be positive, got 0"):
             evaluate_selector(train, test, SelectorConfig(variant="ifs", alpha=0.5), n_grid=(0,))
 
+    @pytest.mark.parametrize("alpha", [0.5, "cv"])
+    @pytest.mark.parametrize("bad", [2.5, "3", 4.0])
+    def test_non_integer_top_n_rejected(self, alpha, bad):
+        # int() once took 2.5 as top-2 and reported n_requested=(2,).
+        rng = np.random.default_rng(68)
+        train, test = labeled_dataset(rng, 40, 5), labeled_dataset(rng, 30, 5)
+        config = SelectorConfig(variant="ifs", alpha=alpha)
+        with pytest.raises(ConfigError, match=re.escape(f"top-N values must be integers, got {bad!r}")):
+            evaluate_selector(train, test, config, n_grid=(1, bad), cost_grid=(1.0,))
+
+    def test_integer_top_n_of_numpy_type_accepted(self):
+        rng = np.random.default_rng(68)
+        train, test = labeled_dataset(rng, 40, 5), labeled_dataset(rng, 30, 5)
+        config = SelectorConfig(variant="ifs", alpha=0.5)
+        report = evaluate_selector(train, test, config, n_grid=(np.int64(2), np.int32(3)))
+        assert report == evaluate_selector(train, test, config, n_grid=(2, 3))
+        assert json.loads(report.to_json())["n_requested"] == [2, 3]
+
+    def test_auc_only_for_the_final_holdout(self, monkeypatch):
+        # CV folds average accuracy alone; the report's AUCs come from the
+        # one final holdout, one per evaluated N.
+        calls = []
+        auc = evaluation.binary_auc
+
+        def counting_auc(scores, labels, positive):
+            calls.append(len(labels))
+            return auc(scores, labels, positive)
+
+        monkeypatch.setattr(evaluation, "binary_auc", counting_auc)
+        rng = np.random.default_rng(69)
+        train, test = labeled_dataset(rng, 40, 5), labeled_dataset(rng, 30, 5)
+        config = SelectorConfig(variant="sifs", alpha="cv")
+        cross_validate(train, [(config.with_alpha(0.5), 1.0), (config.with_alpha(0.2), 0.1)],
+                       folds=3, n_grid=(1, 3))
+        assert calls == []
+        report = evaluate_selector(train, test, config, n_grid=(1, 3, 5), folds=3, cost_grid=(0.1, 1.0))
+        assert report.n_evaluated == (1, 3, 5) and sorted(report.per_n_auc) == [1, 3, 5]
+        assert calls == [test.n] * 3
+
     def test_no_test_leakage(self):
         rng = np.random.default_rng(67)
         train = labeled_dataset(rng, 40, 5)

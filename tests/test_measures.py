@@ -550,14 +550,20 @@ class TestColumnTiles:
 
     @pytest.mark.parametrize("m", [WIDTH - 1, WIDTH, WIDTH + 1])
     @pytest.mark.parametrize("n", [2, 9])
-    def test_midranks_match_untiled_bitwise(self, n, m):
-        values = tile_columns(n, m, seed=n * m)
-        expected = midranks_untiled(values)
-        ranks = _midranks(values)
-        assert ranks.dtype == np.int64 and ranks.flags.f_contiguous
-        assert ranks.tobytes(order="F") == expected.tobytes(order="F")
-        narrow = _midranks(values, _rank_type(n))
-        assert narrow.dtype == np.int32 and narrow.tolist() == expected.tolist()
+    def test_midranks_match_untiled_bitwise(self, monkeypatch, n, m):
+        # Every tile of WIDTH columns holds a tied column, and no column of
+        # the normal matrix ties: the two branches of a tile. One-column
+        # tiles alternate between them within one call.
+        tied = tile_columns(n, m, seed=n * m)
+        untied = np.random.default_rng(n * m).normal(size=(n, m))
+        for values, width in ((tied, WIDTH), (untied, WIDTH), (tied, 1)):
+            monkeypatch.setattr(measures, "_TILE_BYTES", 8 * n * width)
+            expected = midranks_untiled(values)
+            ranks = _midranks(values)
+            assert ranks.dtype == np.int64 and ranks.flags.f_contiguous
+            assert ranks.tobytes(order="F") == expected.tobytes(order="F")
+            narrow = _midranks(values, _rank_type(n))
+            assert narrow.dtype == np.int32 and narrow.tolist() == expected.tolist()
 
     @pytest.mark.parametrize("policy", [BinningPolicy(bin_count=2), BinningPolicy(bin_count=3), POLICY,
                                         BinningPolicy("equal_width", 2), BinningPolicy("equal_width", 3)])
