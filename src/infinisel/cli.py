@@ -88,7 +88,10 @@ def _load_dataset(path: str, args) -> Dataset:
 def _ranking_lines(dataset: Dataset, order, scores) -> str:
     lines = ["rank,index,name,score"]
     for pos, idx in enumerate(order):
-        lines.append(f"{pos + 1},{idx},{dataset.feature_name(int(idx))},{float(scores[pos])!r}")
+        name = dataset.feature_name(int(idx))
+        if any(c in name for c in ',"\r\n'):  # quoted as csv.writer's default dialect quotes it
+            name = '"' + name.replace('"', '""') + '"'
+        lines.append(f"{pos + 1},{idx},{name},{float(scores[pos])!r}")
     return "\n".join(lines) + "\n"
 
 

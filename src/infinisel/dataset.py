@@ -33,17 +33,18 @@ def _is_int64(v) -> bool:
     return isinstance(v, numbers.Integral) and -(2**63) <= int(v) < 2**63
 
 
-# Budget of one tile's temporaries. Per-column work runs over tiles of
-# columns (``_column_tiles``) and the MI kernel over tiles of pairs, so no
-# step holds a temporary the size of the matrix. Tiles of 1 MB left the
-# heap ~0.6 MB larger at n=500, m=60, with no speed gain.
+# Budget of one tile's temporaries, which every kernel reads at each call
+# through ``_column_tiles``: per-column work runs over tiles of columns and
+# the MI kernel over tiles of pairs, so no step holds a temporary the size
+# of the matrix. Tiles of 1 MB left the heap ~0.6 MB larger at n=500, m=60,
+# with no speed gain.
 _TILE_BYTES = 768 << 10
 
 
-def _column_tiles(n: int, m: int, tile_bytes: int) -> list[slice]:
+def _column_tiles(n: int, m: int) -> list[slice]:
     """Slices of consecutive columns covering all ``m``, each as wide as an
-    n-row float64 block within ``tile_bytes`` allows, and one column at least."""
-    width = max(tile_bytes // (8 * n), 1)
+    n-row float64 block within ``_TILE_BYTES`` allows, and one column at least."""
+    width = max(_TILE_BYTES // (8 * n), 1)
     return [slice(a, min(a + width, m)) for a in range(0, m, width)]
 
 
@@ -93,7 +94,7 @@ class Dataset:
         # finite, and a non-finite value makes its column's std non-finite.
         with np.errstate(over="ignore", invalid="ignore"):
             std = np.concatenate([np.ascontiguousarray(values[:, tile].T).std(axis=1)
-                                  for tile in _column_tiles(n, m, _TILE_BYTES)])
+                                  for tile in _column_tiles(n, m)])
         finite = np.isfinite(std)
         if not finite.all():
             bad = np.argwhere(~np.isfinite(values))
@@ -264,20 +265,22 @@ def _parse_label(token: str, row: int, col: int) -> int:
     return value
 
 
-def _header(path: str, first_row: list[str], n_rows: int,
-            label_column: str | None) -> tuple[list[str] | None, int | None]:
-    """The header (None if the first row is all numeric) and the label
-    column's index, for a file of ``n_rows`` non-empty rows."""
-    has_header = any(not _is_number(cell) for cell in first_row)
-    header = [cell.strip() for cell in first_row] if has_header else None
-    if has_header and n_rows == 1:
+def _header(path: str, first_row: list[str], n_rows: int) -> list[str] | None:
+    """The header of a file of ``n_rows`` non-empty rows, or None if its
+    first row is all numeric."""
+    if all(_is_number(cell) for cell in first_row):
+        return None
+    if n_rows == 1:
         raise DataError(f"{path}: no data rows")
-    label_idx: int | None = None
-    if label_column is not None:
-        if header is None or label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not found in header")
-        label_idx = header.index(label_column)
-    return header, label_idx
+    return [cell.strip() for cell in first_row]
+
+
+def _label_index(path: str, header: list[str] | None, label_column: str | None) -> int | None:
+    if label_column is None:
+        return None
+    if header is None or label_column not in header:
+        raise DataError(f"{path}: label column {label_column!r} not found in header")
+    return header.index(label_column)
 
 
 # csv-module syntax (quotes, CR line ends, NUL) and the separators that numpy
@@ -292,32 +295,26 @@ def _scan(fh) -> int | None:
     """One pass over a binary CSV file in ``_CHUNK``-byte reads.
 
     Returns the count of non-empty lines, or None if the bytes after an
-    optional UTF-8 BOM are not UTF-8, hold a ``_CELLWISE`` byte, no
-    non-empty line, or a line longer than ``csv.field_size_limit()`` bytes.
-    Lines are found as newline offsets in each chunk; no Python object is
-    made per line.
+    optional UTF-8 BOM hold a ``_CELLWISE`` byte, no non-empty line, or a
+    line longer than ``csv.field_size_limit()`` bytes. Lines are found as
+    newline offsets in each chunk; no Python object is made per line, and
+    no byte is decoded here.
     """
     if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         fh.seek(0)
-    decoder = codecs.getincrementaldecoder("utf-8")()
     limit = csv.field_size_limit()
     lines, pos, last = 0, 0, -1  # last: offset of the last newline in the pos bytes read
-    try:
-        while chunk := fh.read(_CHUNK):
-            if any(c in chunk for c in _CELLWISE):
+    while chunk := fh.read(_CHUNK):
+        if any(c in chunk for c in _CELLWISE):
+            return None
+        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + pos
+        pos += len(chunk)
+        if ends.size:
+            lengths = np.diff(ends, prepend=last) - 1
+            if lengths.max() > limit:
                 return None
-            decoder.decode(chunk)
-            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + pos
-            pos += len(chunk)
-            if ends.size:
-                lengths = np.diff(ends, prepend=last) - 1
-                if lengths.max() > limit:
-                    return None
-                lines += np.count_nonzero(lengths)
-                last = int(ends[-1])
-        decoder.decode(b"", True)
-    except UnicodeDecodeError:
-        return None
+            lines += np.count_nonzero(lengths)
+            last = int(ends[-1])
     lines += pos - last > 1  # a last line with no newline
     if not lines or pos - last - 1 > limit:
         return None
@@ -330,7 +327,9 @@ def _parse_plain(path: str, label_column: str | None):
 
     Returns ``(header, label_idx, values, labels)``, or None whenever the
     per-cell parse could read the file differently or would raise: it then
-    words the error.
+    words the error. ``np.loadtxt`` reads the file line by line, skipping
+    empty lines. A file whose every byte decodes raises its header errors
+    here, without that second read.
     """
     with open(path, "rb") as fh:
         n_lines = _scan(fh)
@@ -340,17 +339,19 @@ def _parse_plain(path: str, label_column: str | None):
     # ``_parse_cells``, so universal newlines translate nothing here, and
     # ``np.loadtxt`` reads this stream faster than a ``newline=""`` one.
     with open(path, encoding="utf-8-sig") as fh:
-        first = fh.readline()
-        while first == "\n":
+        try:  # a byte that is not UTF-8, wherever it is, raises a ValueError here
             first = fh.readline()
-        first_row = first.rstrip("\n").split(",")
-        header, label_idx = _header(path, first_row, n_lines, label_column)
-        if header is None:
-            fh.seek(0)  # the first line is data
-        try:  # numpy reads the file line by line, skipping empty lines
+            while first == "\n":
+                first = fh.readline()
+            first_row = first.rstrip("\n").split(",")
+            header = _header(path, first_row, n_lines)
+            if header is None:
+                fh.seek(0)  # the first line is data
             table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
         except ValueError:
             return None
+    # Only now, as every byte has decoded: a bad byte outranks a header error.
+    label_idx = _label_index(path, header, label_column)
     n_rows = n_lines - (header is not None)
     if table.shape != (n_rows, len(first_row)) or not np.isfinite(table).all():
         return None
@@ -376,7 +377,8 @@ def _parse_cells(path: str, label_column: str | None):
     if not rows:
         raise DataError(f"{path}: empty file")
 
-    header, label_idx = _header(path, rows[0], len(rows), label_column)
+    header = _header(path, rows[0], len(rows))
+    label_idx = _label_index(path, header, label_column)
     data_rows = rows[1:] if header is not None else rows
     width = len(rows[0])
     values = np.empty((len(data_rows), width - (0 if label_idx is None else 1)))
@@ -407,8 +409,8 @@ def load_csv(path: str, label_column: str | None = None) -> Dataset:
     Error messages carry 1-based row/column coordinates.
 
     A plain numeric file is first scanned as raw bytes in fixed-size
-    chunks (UTF-8 validity, the characters below, line count and length),
-    then parsed by ``np.loadtxt`` reading the open file line by line, in
+    chunks (the characters below, line count and length), then decoded
+    and parsed by ``np.loadtxt`` reading the open file line by line, in
     text mode with default newline handling: any file holding a CR takes
     the per-cell path, so that translation never changes a byte.
     Memory peaks near twice the value matrix, or a few chunks for a small

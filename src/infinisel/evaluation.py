@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -371,20 +371,10 @@ class EvalReport:
     per_n_auc: dict[int, float] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "chosen_alpha": self.chosen_alpha,
-            "chosen_classifier_cost": self.chosen_classifier_cost,
-            "fold_seed": self.fold_seed,
-            "n_requested": list(self.n_requested),
-            "n_evaluated": list(self.n_evaluated),
-            "per_n_accuracy": {str(k): v for k, v in self.per_n_accuracy.items()},
-            "per_n_auc": None
-            if self.per_n_auc is None
-            else {str(k): v for k, v in self.per_n_auc.items()},
-            "avg": self.avg,
-            "max": self.max,
-        }
+        # Per-N keys as the strings JSON writes (so sort_keys orders them as
+        # strings), and tuples as the lists JSON reads back.
+        return {k: {str(n): x for n, x in v.items()} if isinstance(v, dict)
+                else list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

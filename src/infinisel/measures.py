@@ -15,8 +15,8 @@ once to float64; each chunk of rows is converted to float64 on its own.
 ``_discretize`` bins every column, by the same midranks under equal
 frequency; equal-width binning never ranks (a column whose range overflows
 float64 is a ``ValueError``). Every per-column kernel (ranks, bins,
-marginal counts) works on tiles of columns (``dataset._column_tiles``)
-within ``_TILE_BYTES``, so the only n×m arrays a cache or mRMR holds are
+marginal counts) works on column tiles (``dataset._column_tiles``) within
+``dataset._TILE_BYTES``, so the only n×m arrays a cache or mRMR holds are
 the ranks, in int32 below 2³⁰ rows, and the bin codes, in the narrowest
 unsigned type, which the MI kernel casts into the type of its joint codes
 one tile of rows at a time. The std is the ``Dataset``'s own, which its
@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import _TILE_BYTES, Dataset, _column_tiles
+from .dataset import Dataset, _column_tiles
 from .errors import ConfigError
 
 BINNING_KINDS = ("equal_width", "equal_frequency")
@@ -116,7 +116,7 @@ def _midranks(values: np.ndarray, dtype: type = np.int64) -> np.ndarray:
     ranks = np.empty((m, n), dtype=dtype)
     k = np.arange(n + 1, dtype=np.int64)
     untied = (2 * k[:n] + 1 - n).astype(dtype)[None, :]
-    for tile in _column_tiles(n, m, _TILE_BYTES):
+    for tile in _column_tiles(n, m):
         rows = np.ascontiguousarray(values[:, tile].T)
         order = np.argsort(rows, axis=1)
         ordered = np.take_along_axis(rows, order, axis=1)
@@ -228,7 +228,7 @@ def _discretize(
     bins = min(policy.bin_count, n)  # past n every column is categorical; keeps huge counts out of numpy
     codes = np.empty((k, n), dtype=dtype)
     counts = np.empty(k, dtype=np.int64)
-    for tile in _column_tiles(n, k, _TILE_BYTES):
+    for tile in _column_tiles(n, k):
         if policy.kind == "equal_width":
             rows = np.ascontiguousarray(values[:, tile].T)
         else:
@@ -330,7 +330,7 @@ def _coded_table(codes: np.ndarray, width: int) -> _MiTable:
     # each tile's codes.
     k, n = codes.shape
     sums = [_entropy_sums(_bincounts(codes[tile].astype(np.int64), width), n)
-            for tile in _column_tiles(n, k, _TILE_BYTES)]
+            for tile in _column_tiles(n, k)]
     return _MiTable(codes, width, np.concatenate(sums) / n)
 
 
@@ -358,7 +358,7 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j) -> np.ndarray:
     counts: relabelling the bins of either column leaves it unchanged, a
     column paired with itself has H(X, X) = H(X) bitwise and MI = H(X), and
     a one-bin column has MI 0. Tiles of pairs keep the temporaries near
-    ``_TILE_BYTES``: a pair's codes take at most two 8-byte arrays of n
+    ``dataset._TILE_BYTES``: a pair's codes take at most two 8-byte arrays of n
     (joint codes plus row offsets are held in the narrowest unsigned type
     that fits them, and each tile's rows are gathered from the tables' own
     codes and cast there, so no table is copied whole), and its counts and
@@ -366,20 +366,21 @@ def _mi_pairs(left: _MiTable, i, right: _MiTable, j) -> np.ndarray:
     """
     n = left.codes.shape[1]
     cells = left.width * right.width
-    step = max(_TILE_BYTES // (16 * max(n, cells)), 1)
-    # Joint codes plus row offsets in the narrowest unsigned type that holds
-    # them and the scale wr: the gathers and adds move 2–8 times fewer bytes
-    # than in int64. Gathered rows are cast before they are scaled or added,
-    # so narrow codes never wrap.
-    code_type = np.min_scalar_type(min(step, len(i)) * cells)
     out = np.empty(len(i))
-    for start in range(0, len(i), step):
-        ti, tj = i[start:start + step], j[start:start + step]
+    # A pair's temporaries take at most two 8-byte arrays of max(n, wl·wr):
+    # to the budget, one column of 2·max(n, wl·wr) float64 values.
+    for tile in _column_tiles(2 * max(n, cells), len(i)):
+        ti, tj = i[tile], j[tile]
+        # Joint codes plus row offsets in the narrowest unsigned type that
+        # holds them and the scale wr: the gathers and adds move 2–8 times
+        # fewer bytes than in int64. Gathered rows are cast before they are
+        # scaled or added, so narrow codes never wrap.
+        code_type = np.min_scalar_type(len(ti) * cells)
         codes = left.codes[ti].astype(code_type, copy=False)  # a gather: a fresh array
         codes *= right.width  # joint codes a·wr + b
         codes += right.codes[tj].astype(code_type, copy=False)
         joint = _entropy_sums(_bincounts(codes, cells), n) / n
-        out[start:start + len(ti)] = (left.entropy[ti] + right.entropy[tj]) - joint
+        out[tile] = (left.entropy[ti] + right.entropy[tj]) - joint
     return np.maximum(out, 0.0)
 
 

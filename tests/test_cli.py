@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -255,6 +256,20 @@ class TestRankCommand:
             assert main(argv + (["--label-column", "y"] if fmt == "csv" else [])) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+    def test_names_that_need_quotes_read_back_as_four_cells(self, tmp_path):
+        # Quoted header cells load as names holding a comma, a quote and a
+        # newline; the ranking quotes them as csv.writer does.
+        src, out = tmp_path / "d.csv", tmp_path / "ranking.csv"
+        src.write_text('"a,b","q""x","l\nm",plain,y\n1,5,2,0,0\n2,3,7,1,1\n3,8,1,1,0\n4,1,4,0,1\n')
+        assert main(["rank", str(src), "--label-column", "y", "--variant", "mrmr", "--output", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["rank", "index", "name", "score"] and len(rows) == 5
+        assert all(len(row) == 4 for row in rows)
+        assert sorted(row[2] for row in rows[1:]) == sorted(["a,b", 'q"x', "l\nm", "plain"])
+        assert ',3,plain,' in out.read_text(encoding="utf-8")  # a name needing no quotes keeps its bytes
 
 
 class TestEvalCommand:

@@ -9,6 +9,7 @@ import pytest
 from infinisel import dataset
 from infinisel import (Dataset, DataError, FeatureScaler, fit_scaler, load_csv, load_libsvm,
                        preprocess)
+from oracles import load_csv_reference
 
 
 def write(path, text):
@@ -247,6 +248,27 @@ class TestLoadCsvBulkPass:
         cr = load_csv(write(tmp_path / "cr.csv", text.replace("\n", end)), label_column="y")
         assert cr.values.tobytes() == lf.values.tobytes()
         assert cr.labels.tolist() == lf.labels.tolist() and cr.feature_names == lf.feature_names
+
+    @pytest.mark.parametrize("label_column", ["y", "nope"])
+    @pytest.mark.parametrize("row", [0, 1, 1900], ids=["header", "first-row", "past-8KiB"])
+    def test_bad_byte_outranks_header_errors(self, tmp_path, row, label_column):
+        # The per-cell parse reads every row before it checks the header.
+        lines = [b"a,y"] + [f"{i},{i % 2}".encode() for i in range(2000)]
+        lines[row] += b"\xff"
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError, match="unparseable CSV") as expected:
+            load_csv_reference(str(p), label_column)
+        with pytest.raises(DataError) as got:
+            load_csv(str(p), label_column)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n3,4\n", "1,2\n3,4\n"], ids=["header", "no-header"])
+    def test_missing_label_column_needs_no_second_read(self, tmp_path, monkeypatch, text):
+        p = write(tmp_path / "d.csv", text)
+        monkeypatch.setattr(dataset, "_parse_cells", None)
+        with pytest.raises(DataError, match=re.escape(f"{p}: label column 'y' not found in header")):
+            load_csv(p, label_column="y")
 
     def test_long_finite_field_hits_csv_limit(self, tmp_path):
         field = "0" * csv.field_size_limit() + "1"

@@ -608,6 +608,23 @@ class TestEvaluateSelector:
         text = report.to_text()
         assert "avg=" in text and f"accuracy_n2={report.per_n_accuracy[2]!r}" in text
 
+    def test_report_json_bytes(self):
+        # Per-N keys sort as strings ("10" before "2"); tuples come back as lists.
+        fields = dict(variant="ifs", chosen_alpha=0.5, chosen_classifier_cost=1.0, fold_seed=3,
+                      n_requested=(2, 10), n_evaluated=(2, 10), per_n_accuracy={2: 0.5, 10: 0.75},
+                      avg=0.625, max=0.75)
+        head = ('{\n  "avg": 0.625,\n  "chosen_alpha": 0.5,\n  "chosen_classifier_cost": 1.0,\n'
+                '  "fold_seed": 3,\n  "max": 0.75,\n  "n_evaluated": [\n    2,\n    10\n  ],\n'
+                '  "n_requested": [\n    2,\n    10\n  ],\n'
+                '  "per_n_accuracy": {\n    "10": 0.75,\n    "2": 0.5\n  },\n')
+        tail = '  "variant": "ifs"\n}\n'
+        report = evaluation.EvalReport(**fields)
+        assert report.to_dict() == {**fields, "n_requested": [2, 10], "n_evaluated": [2, 10],
+                                    "per_n_accuracy": {"2": 0.5, "10": 0.75}, "per_n_auc": None}
+        assert report.to_json() == head + '  "per_n_auc": null,\n' + tail
+        with_auc = evaluation.EvalReport(**fields, per_n_auc={2: 0.25, 10: 1.0})
+        assert with_auc.to_json() == head + '  "per_n_auc": {\n    "10": 1.0,\n    "2": 0.25\n  },\n' + tail
+
 
     @pytest.mark.parametrize("variant", ["ifs", "mifs", "sifs", "mrmr"])
     def test_ranking_is_selection_order_on_train(self, variant):

@@ -545,8 +545,7 @@ class TestColumnTiles:
 
     @pytest.fixture(autouse=True)
     def tiny_tiles(self, monkeypatch, n):
-        for module in (measures, dataset_module):
-            monkeypatch.setattr(module, "_TILE_BYTES", 8 * n * WIDTH)
+        monkeypatch.setattr(dataset_module, "_TILE_BYTES", 8 * n * WIDTH)
 
     @pytest.mark.parametrize("m", [WIDTH - 1, WIDTH, WIDTH + 1])
     @pytest.mark.parametrize("n", [2, 9])
@@ -557,7 +556,7 @@ class TestColumnTiles:
         tied = tile_columns(n, m, seed=n * m)
         untied = np.random.default_rng(n * m).normal(size=(n, m))
         for values, width in ((tied, WIDTH), (untied, WIDTH), (tied, 1)):
-            monkeypatch.setattr(measures, "_TILE_BYTES", 8 * n * width)
+            monkeypatch.setattr(dataset_module, "_TILE_BYTES", 8 * n * width)
             expected = midranks_untiled(values)
             ranks = _midranks(values)
             assert ranks.dtype == np.int64 and ranks.flags.f_contiguous
@@ -596,7 +595,7 @@ class TestColumnTiles:
         d = Dataset(tile_columns(n, m, seed=2 * m), labels=np.arange(n) % 2)
         flags = dict(need_mi_matrix=True, need_spearman=True, need_relevance=True)
         tiled, tiled_mrmr = build_measure_cache(d, POLICY, **flags), mrmr_select(d, m, POLICY)
-        monkeypatch.setattr(measures, "_TILE_BYTES", 768 << 10)
+        monkeypatch.setattr(dataset_module, "_TILE_BYTES", 768 << 10)
         whole = build_measure_cache(d, POLICY, **flags)
         for block in ("std", "spearman", "mi", "rdn", "relevance"):
             assert getattr(tiled, block).tobytes() == getattr(whole, block).tobytes(), block
@@ -622,7 +621,7 @@ class TestColumnTiles:
         flags = dict(need_mi_matrix=True, need_relevance=True)
         runs = []
         for budget in (8 * n * WIDTH, 768 << 10):
-            monkeypatch.setattr(measures, "_TILE_BYTES", budget)
+            monkeypatch.setattr(dataset_module, "_TILE_BYTES", budget)
             del tiles[:]
             cache = build_measure_cache(d, POLICY, **flags)
             cache_tiles = len(tiles)
@@ -634,6 +633,26 @@ class TestColumnTiles:
             assert getattr(tiny, block).tobytes() == getattr(whole, block).tobytes(), block
         assert tiny_mrmr.order == whole_mrmr.order
         assert np.array(tiny_mrmr.objective_trace).tobytes() == np.array(whole_mrmr.objective_trace).tobytes()
+
+    @pytest.mark.parametrize("n", [9])
+    def test_one_budget_tiles_every_kernel(self, monkeypatch, n):
+        # The fixture patches dataset._TILE_BYTES alone: under it, one call
+        # of the std checks, the ranks, the bins, the marginal counts or the
+        # MI kernel takes more than one tile.
+        tiles = dict.fromkeys(["__post_init__", "_midranks", "_discretize", "_coded_table", "_mi_pairs"], 0)
+        column_tiles = dataset_module._column_tiles
+
+        def spy(*args):
+            slices = column_tiles(*args)
+            caller = sys._getframe(1).f_code.co_name
+            tiles[caller] = max(tiles[caller], len(slices))
+            return slices
+
+        for module in (dataset_module, measures):
+            monkeypatch.setattr(module, "_column_tiles", spy)
+        d = Dataset(tile_columns(n, 3 * WIDTH, seed=5), labels=np.arange(n) % 2)
+        build_measure_cache(d, POLICY, need_mi_matrix=True, need_spearman=True, need_relevance=True)
+        assert all(count > 1 for count in tiles.values()), tiles
 
     @pytest.mark.parametrize("n", [9, 13])
     def test_gram_chunks_and_tiles_match_oracle_bitwise(self, monkeypatch, n):

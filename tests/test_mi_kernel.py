@@ -24,8 +24,9 @@ from infinisel import (
     mutual_information,
     normalized_mi,
 )
+from infinisel import dataset as dataset_module
+from infinisel.dataset import _TILE_BYTES
 from infinisel.measures import (
-    _TILE_BYTES,
     _coded_table,
     _discretize,
     _entropy_sums,
@@ -172,9 +173,9 @@ def test_one_pair_per_tile_gives_the_bytes_of_one_tile(monkeypatch):
     i, j = np.triu_indices(values.shape[1])
     cases = (table, i, table, j), (table, np.arange(15), label, np.zeros(15, dtype=np.int64))
     for left, a, right, b in cases:
-        monkeypatch.setattr(measures, "_TILE_BYTES", 1)
+        monkeypatch.setattr(dataset_module, "_TILE_BYTES", 1)
         single = _mi_pairs(left, a, right, b)
-        monkeypatch.setattr(measures, "_TILE_BYTES", 2**40)
+        monkeypatch.setattr(dataset_module, "_TILE_BYTES", 2**40)
         assert single.tobytes() == _mi_pairs(left, a, right, b).tobytes()
         monkeypatch.undo()
         assert single.tobytes() == _mi_pairs(left, a, right, b).tobytes()
@@ -202,7 +203,7 @@ def test_tiled_kernel_matches_per_pair_loop_bitwise(case):
     table, states = _mi_table(values, policy), oracles._mi_states(values, policy)
     i, j = np.triu_indices(len(states))
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(measures, "_TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(dataset_module, "_TILE_BYTES", tile_bytes)
         got = _mi_pairs(table, i, table, j)
         assert got.tobytes() == np.array([oracles._mi(states[a], states[b]) for a, b in zip(i, j)]).tobytes()
         label = oracles._label_state(labels)
@@ -222,7 +223,7 @@ def test_small_tiles_reach_wide_joint_codes(monkeypatch):
     bincounts = measures._bincounts
     monkeypatch.setattr(measures, "_bincounts",
                         lambda codes, bins: dtypes.add(codes.dtype.name) or bincounts(codes, bins))
-    monkeypatch.setattr(measures, "_TILE_BYTES", 1)
+    monkeypatch.setattr(dataset_module, "_TILE_BYTES", 1)
     for table, label in tables:
         i, j = np.triu_indices(4)
         for left, a, right, b in ((table, i, table, j), (table, np.arange(4), label, np.zeros(4, dtype=np.int64))):
