@@ -74,8 +74,6 @@ class AdjacencyMatrix:
     """Symmetric nonnegative matrix of pairwise feature energies."""
 
     a: np.ndarray
-    variant: str
-    alpha: float
 
     def __post_init__(self):
         object.__setattr__(self, "a", _checked_matrix(self.a))
@@ -97,5 +95,5 @@ def build_adjacency(cache: MeasureCache, variant: str, alpha: float) -> Adjacenc
             raise ValueError(f"{variant} adjacency needs the {name} block")
     rel, red = getattr(cache, graph.relevance), getattr(cache, graph.redundancy)
     a = alpha * np.maximum.outer(rel, rel) + (1.0 - alpha) * (1.0 - graph.pairwise(red))
-    return AdjacencyMatrix(a, variant, alpha)
+    return AdjacencyMatrix(a)
 

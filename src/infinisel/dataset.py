@@ -160,13 +160,12 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class FeatureScaler:
-    """A fitted per-feature affine transform.
+    """A fitted per-feature affine transform, ``(values - shift) / scale``.
 
     ``scale`` is 0 for features that were constant in the fitting data;
     those columns map to all-zeros when applied.
     """
 
-    scheme: str
     shift: np.ndarray
     scale: np.ndarray
 
@@ -178,32 +177,30 @@ class FeatureScaler:
         return out
 
 
-def fit_scaler(values: np.ndarray, scheme: str) -> FeatureScaler:
-    """Fit per-feature preprocessing statistics on a value matrix."""
+def fit_scaler(dataset: Dataset, scheme: str) -> FeatureScaler:
+    """Fit per-feature preprocessing statistics on a checked dataset: standardize
+    divides by ``dataset.std``, and a constant column (min equal to max) gets scale 0."""
     if scheme not in PREPROCESSING_SCHEMES:
         raise DataError(
             f"unknown preprocessing scheme {scheme!r}; expected one of {PREPROCESSING_SCHEMES}"
         )
-    values = np.asarray(values, dtype=np.float64)
-    m = values.shape[1]
     if scheme == "none":
-        return FeatureScaler("none", np.zeros(m), np.ones(m))
+        return FeatureScaler(np.zeros(dataset.m), np.ones(dataset.m))
+    lo, hi = dataset.values.min(axis=0), dataset.values.max(axis=0)
     if scheme == "normalize":
-        lo = values.min(axis=0)
-        return FeatureScaler("normalize", lo, values.max(axis=0) - lo)
-    # standardize: population variance (divide by n)
-    return FeatureScaler("standardize", values.mean(axis=0), values.std(axis=0))
+        return FeatureScaler(lo, hi - lo)
+    return FeatureScaler(dataset.values.mean(axis=0), np.where(hi > lo, dataset.std, 0.0))
 
 
 def preprocess(dataset: Dataset, scheme: str) -> Dataset:
     """Apply a preprocessing scheme fitted on the dataset itself.
 
     ``normalize`` maps each feature affinely onto [0, 1]; ``standardize``
-    maps each feature to zero mean and unit population variance; ``none``
-    is the identity. Constant features become all-zeros under both
-    non-trivial schemes. Labels and names are unchanged.
+    maps each feature to zero mean and unit population variance (``dataset.std``);
+    ``none`` is the identity. Constant features (min equal to max) become
+    all-zeros under both non-trivial schemes. Labels and names are unchanged.
     """
-    scaler = fit_scaler(dataset.values, scheme)
+    scaler = fit_scaler(dataset, scheme)
     return dataset.with_values(_Fresh(scaler.apply(dataset.values)))
 
 

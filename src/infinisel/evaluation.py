@@ -13,8 +13,8 @@ once. So the test split can never influence the selection stage.
 
 Each stage has one route. Rankings come from ``scoring.rank_scaled``.
 Every classifier fit, whether from ``train_linear``, ``fit_classifier`` or
-a holdout, goes through ``_fit_classifiers``, which alone checks the
-shapes, class count and cost. It hands every fit of one column count to
+a holdout, goes through ``_fit_classifiers``, which checks the shapes,
+class count and cost. It hands every fit of one column count to
 ``_train_linear_batch``, which steps them in lockstep, one set of numpy
 calls per round, and each fit's result is bitwise what it gets alone.
 """
@@ -22,6 +22,7 @@ calls per round, and each fit's result is bitwise what it gets alone.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -288,7 +289,7 @@ def _holdout(train: Dataset, test: Dataset, grid, n_eval, with_auc=False):
     configs = list(dict.fromkeys(config for config, _ in grid))
     scaled, rankings = {}, {}
     for scheme in dict.fromkeys(config.resolved_preprocessing for config in configs):
-        scaler = fit_scaler(train.values, scheme)
+        scaler = fit_scaler(train, scheme)
         scaled_train = train.with_values(_Fresh(scaler.apply(train.values)))
         scaled[scheme] = (scaled_train.values, scaler.apply(test.values))
         group = [config for config in configs if config.resolved_preprocessing == scheme]
@@ -421,6 +422,9 @@ def _evaluate(
 
     # Every report records the fold seed, so a fixed alpha checks the plan too.
     _check_fold_plan(folds, seed)
+    for cost in cost_grid:
+        if not (isinstance(cost, numbers.Real) and cost > 0):  # NaN too
+            raise ConfigError(f"classifier costs must be positive numbers, got {cost!r}")
     # Per config: the chosen (config, cost), or a "cv" config's slice of
     # the shared grid until cross validation picks from it.
     chosen, grid = [], []
@@ -476,7 +480,7 @@ def evaluate_selector(
     Ranks features on the training split only; when ``config.alpha`` is
     ``"cv"``, the trade-off and classifier cost are first chosen by
     stratified cross validation on the training split (over ``cost_grid``,
-    which may be a single value). Top-N values larger than the feature
+    positive numbers, one or more). Top-N values larger than the feature
     count are clipped, with a warning, and recorded in the report.
     """
     [(report, ranking)] = _evaluate(d_train, d_test, [config], n_grid, seed, folds, cost_grid)

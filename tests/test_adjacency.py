@@ -153,8 +153,8 @@ class TestMatrixProperties:
 
     def test_constructor_rejects_asymmetry(self):
         with pytest.raises(ValueError, match="symmetric"):
-            AdjacencyMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]), "ifs", 0.5)
+            AdjacencyMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_constructor_rejects_negatives(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            AdjacencyMatrix(np.full((2, 2), -0.5), "ifs", 0.5)
+            AdjacencyMatrix(np.full((2, 2), -0.5))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from infinisel import dataset
-from infinisel import (Dataset, DataError, FeatureScaler, fit_scaler, load_csv, load_libsvm,
-                       preprocess)
+from infinisel import (Dataset, DataError, FeatureScaler, feature_std, fit_scaler, load_csv,
+                       load_libsvm, preprocess)
 from oracles import load_csv_reference
 
 
@@ -460,6 +460,11 @@ class TestPeakMemory:
         d = Dataset(values)
         assert self.peak(lambda: preprocess(d, scheme)) <= 1.15 * values.nbytes
 
+    def test_standardize_fit_at_20000_by_100(self, values):
+        # The fit divides by the dataset's std: no n x m temporary.
+        d = Dataset(values)
+        assert self.peak(lambda: fit_scaler(d, "standardize")) <= 0.05 * values.nbytes
+
 
 class TestPreprocess:
     def test_normalize_affine_map(self):
@@ -471,6 +476,21 @@ class TestPreprocess:
         d = Dataset(np.array([[2.0, 1.0], [2.0, 2.0], [2.0, 3.0]]))
         out = preprocess(d, "standardize")
         np.testing.assert_array_equal(out.values[:, 0], [0.0, 0.0, 0.0])
+
+    def test_standardize_divides_by_the_dataset_std(self):
+        d = Dataset(np.random.default_rng(25).normal(size=(500, 60)))
+        scale = fit_scaler(d, "standardize").scale
+        assert scale.tobytes() == d.std.tobytes()
+        assert scale.tobytes() == np.array([feature_std(d, i) for i in range(d.m)]).tobytes()
+
+    @pytest.mark.parametrize("n", [10, 240, 5000])
+    def test_constant_columns_standardize_to_zeros(self, n):
+        # Their std is a rounding residue (2.9e-16 for 0.1 at n=240), not 0:
+        # a column is constant when its min equals its max.
+        constants = [0.1, 0.3, 1 / 3, 123.456]
+        values = np.column_stack([np.full(n, c) for c in constants] + [np.arange(n)])
+        out = preprocess(Dataset(values), "standardize").values
+        assert out[:, :4].tobytes() == np.zeros((n, 4)).tobytes()
 
     def test_normalize_constant_column(self):
         d = Dataset(np.array([[2.0, 1.0], [2.0, 2.0]]))
@@ -537,7 +557,7 @@ class TestPreprocessProperties:
 class TestScalerOnNewData:
     def test_train_statistics_applied_to_test(self):
         train = np.array([[0.0], [10.0]])
-        scaler = fit_scaler(train, "normalize")
+        scaler = fit_scaler(Dataset(train), "normalize")
         out = scaler.apply(np.array([[5.0], [20.0]]))
         np.testing.assert_allclose(out[:, 0], [0.5, 2.0])
 
@@ -562,13 +582,13 @@ class TestScalerCopies:
         values[:, 1] = 4.0  # constant
         values[:, 4] = -0.0  # constant, negative zeros
         values[::3, 2] = -0.0
-        scaler = fit_scaler(values, scheme)
+        scaler = fit_scaler(Dataset(values), scheme)
         for data in (values, rng.normal(size=(7, 6)), -values):
             assert scaler.apply(data).tobytes() == gather_scatter_apply(scaler, data).tobytes()
 
     def test_apply_leaves_its_input_unchanged(self):
         values = np.array([[1.0, 2.0], [3.0, 2.0]])
-        FeatureScaler("normalize", np.array([1.0, 2.0]), np.array([2.0, 0.0])).apply(values)
+        FeatureScaler(np.array([1.0, 2.0]), np.array([2.0, 0.0])).apply(values)
         np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 2.0]])
 
     @pytest.mark.parametrize("scheme", ["none", "normalize", "standardize"])

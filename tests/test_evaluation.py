@@ -430,6 +430,17 @@ class TestEvaluateSelector:
         with pytest.raises(ConfigError, match="fold count must be an integer, got 2.5"):
             evaluate_selector(train, test, config, n_grid=(3,), folds=2.5, cost_grid=(1.0,))
 
+    @pytest.mark.parametrize("alpha", [0.5, "cv"])
+    @pytest.mark.parametrize("bad", ["1", 0.0, -1.0, float("nan")])
+    def test_bad_cost_is_config_error(self, alpha, bad):
+        # Checked before any fold is ranked, for a fixed alpha too.
+        rng = np.random.default_rng(69)
+        train, test = labeled_dataset(rng, 40, 5), labeled_dataset(rng, 30, 5)
+        config = SelectorConfig(variant="ifs", alpha=alpha)
+        message = f"classifier costs must be positive numbers, got {bad!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            evaluate_selector(train, test, config, n_grid=(3,), cost_grid=(1.0, bad))
+
     def test_fixed_alpha_checks_the_fold_plan(self):
         # No cross validation runs, but the report would record the seed.
         rng = np.random.default_rng(68)

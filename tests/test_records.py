@@ -33,11 +33,11 @@ def build(kind):
     if kind == "Dataset":
         return Dataset(VALUES, labels=[0, 1, 0, 1])
     if kind == "FeatureScaler":
-        return fit_scaler(VALUES, "standardize")
+        return fit_scaler(Dataset(VALUES), "standardize")
     if kind == "FeatureRanking":
         return energy_scores(MATRIX, 0.5)
     if kind == "AdjacencyMatrix":
-        return AdjacencyMatrix(MATRIX, "ifs", 0.5)
+        return AdjacencyMatrix(MATRIX)
     if kind == "MeasureCache":
         return build_measure_cache(Dataset(VALUES, labels=[0, 1, 0, 1]), BinningPolicy(bin_count=2),
                                    need_mi_matrix=True, need_spearman=True, need_relevance=True)
