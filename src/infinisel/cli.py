@@ -168,7 +168,7 @@ def _add_common_flags(sub, default_alpha: str) -> None:
                      help="relevance/redundancy trade-off in [0, 1], or 'cv' (eval/compare only)")
     sub.add_argument("--c", default="0.9", help="regularization fraction in (0, 1)")
     sub.add_argument("--preprocess", default="auto",
-                     help="per-feature preprocessing: none, normalize, standardize, or auto "
+                     help="preprocessing for ranking: none, normalize, standardize, or auto "
                           "(resolves per variant)")
     sub.add_argument("--bins", default="10", help="histogram bin count for mutual information")
     sub.add_argument("--binning", default="frequency", help="binning rule: width or frequency")

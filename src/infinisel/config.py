@@ -12,9 +12,9 @@ SELECTOR_VARIANTS = ("ifs", "mifs", "sifs", "mrmr")
 ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 COST_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
-# Preprocessing that works best with each variant's relevance measure:
-# dispersion-based selectors want features on a common [0, 1] range, while
-# the label-information selectors want standardized features.
+# The scheme each variant ranks on; it governs ranking only, since every
+# classifier sees standardized columns. Dispersion-based selectors want a
+# common [0, 1] range, the label-information selectors standardized features.
 _AUTO_PREPROCESSING = {"ifs": "normalize", "mifs": "normalize", "sifs": "standardize", "mrmr": "standardize"}
 
 
@@ -23,8 +23,8 @@ class SelectorConfig:
     """Settings for one feature-selection run.
 
     ``alpha`` is either a float in [0, 1] or the string ``"cv"`` asking the
-    evaluation harness to pick it by cross validation. ``preprocessing``
-    may be ``"auto"``, which resolves per variant.
+    evaluation harness to pick it by cross validation. ``preprocessing``,
+    the scheme ranking uses, may be ``"auto"``, which resolves per variant.
     """
 
     variant: str = "mifs"

@@ -7,9 +7,9 @@ cost) are picked by stratified k-fold cross validation on the training
 split only, in one ``cross_validate`` call per command over the grids
 of all its configs. Each CV fold and the final train/test run go through
 one holdout function, ``_holdout``: it fits preprocessing statistics on
-the training rows only, applies them unchanged to the held-out rows,
-ranks, and fits each distinct (scheme, top-N columns, cost) classifier
-once. So the test split can never influence the selection stage.
+the training rows only, applies them to the held-out rows, ranks, and fits
+each distinct (top-N columns, cost) classifier once, always on standardized
+columns. So the test split can never influence the selection stage.
 
 Each stage has one route. Rankings come from ``scoring.rank_scaled``.
 Every classifier fit, whether from ``train_linear``, ``fit_classifier`` or
@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import ALPHA_GRID, COST_GRID, SelectorConfig
-from .dataset import Dataset, _Fresh, fit_scaler
+from .dataset import Dataset, _Fresh, fit_scaler, preprocess
 from .errors import ConfigError
 from .measures import _midranks
 from .scoring import _by_rank, rank_scaled
@@ -190,8 +190,8 @@ def _fit_classifiers(problems, y, epochs=DEFAULT_EPOCHS):
     for values, _, cost in problems:
         if values.ndim != 2 or values.shape[0] != y.shape[0]:
             raise ValueError(f"shape mismatch: x {values.shape} vs y {y.shape}")
-        if not cost > 0:  # NaN too
-            raise ValueError(f"cost must be positive, got {cost}")
+        if not (isinstance(cost, numbers.Real) and cost > 0):  # NaN too
+            raise ValueError(f"cost must be positive, got {cost!r}")
     positives = classes[1:] if classes.size == 2 else classes
     fits = [(values, cols, y == c, cost) for values, cols, cost in problems for c in positives]
     results = [None] * len(fits)
@@ -277,39 +277,39 @@ def _effective_n_grid(n_grid, m) -> tuple[int, ...]:
 def _holdout(train: Dataset, test: Dataset, grid, n_eval, with_auc=False):
     """Score each (config, cost) entry of ``grid`` on a held-out split.
 
-    Fits one scaler per preprocessing scheme on ``train`` only, ranks each
-    distinct config once on the scaled training rows (rankings do not
-    depend on the classifier cost), then fits one classifier per distinct
-    (scheme, ordered top-N columns, cost). Returns, aligned with ``grid``,
-    the per-N ``(accuracy, auc)`` pairs on ``test`` and each config's
-    ``rank_scaled`` ranking. ``auc`` is None unless ``with_auc`` is set and
-    the task is binary: only the final holdout, whose AUCs reach a report,
-    sets it; CV folds average accuracy alone.
+    Ranks each distinct config once on ``train`` under its own scheme
+    (rankings do not depend on the classifier cost), then fits one
+    classifier per distinct (ordered top-N columns, cost), all on one input:
+    the columns standardized by one scaler fitted on ``train`` only, which
+    standardize rankings reuse. Returns, aligned with ``grid``, the per-N
+    ``(accuracy, auc)`` pairs on ``test`` and each config's ``rank_scaled``
+    ranking. ``auc`` is None unless ``with_auc`` is set and the task is
+    binary: only the final holdout, whose AUCs reach a report, sets it.
     """
     configs = list(dict.fromkeys(config for config, _ in grid))
-    scaled, rankings = {}, {}
+    scaler = fit_scaler(train, "standardize")
+    fit_train = train.with_values(_Fresh(scaler.apply(train.values)))
+    rankings = {}
     for scheme in dict.fromkeys(config.resolved_preprocessing for config in configs):
-        scaler = fit_scaler(train, scheme)
-        scaled_train = train.with_values(_Fresh(scaler.apply(train.values)))
-        scaled[scheme] = (scaled_train.values, scaler.apply(test.values))
         group = [config for config in configs if config.resolved_preprocessing == scheme]
-        rankings.update(rank_scaled(scaled_train, group))
+        rankings.update(rank_scaled(
+            fit_train if scheme == "standardize" else preprocess(train, scheme), group))
+    fit_test = scaler.apply(test.values)
 
-    # Each distinct (scheme, ordered top-N columns, cost), in first-use order.
+    # Each distinct (ordered top-N columns, cost), in first-use order.
     keys, entries = {}, []
     for config, cost in grid:
-        scheme = config.resolved_preprocessing
         order = np.asarray(rankings[config].order)
         entry = []
         for n in n_eval:
-            key = (scheme, tuple(order[:n].tolist()), cost)
+            key = (tuple(order[:n].tolist()), cost)
             keys.setdefault(key, order[:n])
             entry.append(key)
         entries.append(entry)
-    problems = [(scaled[scheme][0], cols, cost) for (scheme, _, cost), cols in keys.items()]
+    problems = [(fit_train.values, cols, cost) for (_, cost), cols in keys.items()]
     scored = {}
     for (key, cols), model in zip(keys.items(), _fit_classifiers(problems, train.labels)):
-        test_x = scaled[key[0]][1][:, cols]
+        test_x = fit_test[:, cols]
         acc = float(np.mean(model.predict(test_x) == test.labels))
         auc = None
         if with_auc and isinstance(model, LinearClassifier):

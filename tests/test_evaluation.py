@@ -155,6 +155,15 @@ class TestTrainerArgumentErrors:
             fit(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 0, 1]), float("nan"))
         assert str(exc.value) == "cost must be positive, got nan"
 
+    @pytest.mark.parametrize("fit", [train_linear, fit_classifier])
+    @pytest.mark.parametrize("cost", ["1", None, 0.0, float("nan")])
+    def test_cost_not_a_positive_number(self, fit, cost):
+        # A non-number is a ValueError like 0 or NaN, not a TypeError from
+        # the comparison.
+        with pytest.raises(ValueError) as exc:
+            fit(np.ones((4, 2)), np.array([0, 1, 0, 1]), cost)
+        assert str(exc.value) == f"cost must be positive, got {cost!r}"
+
 
 TRAINER_KINDS = ("normal", "rounded", "constant column", "separable", "constant only")
 
@@ -649,6 +658,29 @@ class TestEvaluateSelector:
         expected_order, expected_scores = selection_order(train, config)
         np.testing.assert_array_equal(order, expected_order)
         assert scores.tobytes() == expected_scores.tobytes()
+
+    @pytest.mark.parametrize("configs", [
+        [SelectorConfig(variant=v, alpha=0.5) for v in ("ifs", "mifs", "sifs", "mrmr")],
+        [SelectorConfig(variant="ifs", alpha=0.5, preprocessing=p)
+         for p in ("none", "normalize", "standardize")],
+    ], ids=["variants", "schemes"])
+    def test_all_columns_score_alike_whatever_ranked_them(self, configs):
+        # At top-N = m every config keeps every column, so only the
+        # classifier's input could tell them apart, and it is the same for
+        # all: the columns standardized on the training split. Columns on
+        # scales from 0.01 to 1e3 make that scaling matter.
+        rng = np.random.default_rng(0)
+        scales, shifts = np.array([1e3, 0.01, 5, 1, 200, 0.3]), np.array([1e4, -3, 0, 50, 7, 0])
+
+        def split(n):
+            y = rng.integers(0, 2, n)
+            x = rng.normal(size=(n, 6)) + np.outer(y, [1.5, -1.0, 0, 0, 0, 0])
+            return Dataset(x * scales + shifts, labels=y)
+
+        train, test = split(160), split(120)
+        accuracies = [evaluate_selector(train, test, config, n_grid=(6,)).per_n_accuracy
+                      for config in configs]
+        assert accuracies == [accuracies[0]] * len(configs)
 
 
 class TestCrossValidate:
