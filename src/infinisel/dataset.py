@@ -434,9 +434,9 @@ def load_libsvm(path: str) -> Dataset:
     Indices are 1-based and must be strictly increasing within a line;
     absent indices are zero-filled. The width is the maximum index seen.
     One streamed pass fills flat buffers, then a few indexed assignments,
-    one per chunk of rows, fill the zero matrix: a half-dense file peaks
-    near 2.1× its matrix, a dense one near 3.15×. A matrix too large to
-    allocate is a ``DataError``.
+    one per chunk of rows, fill the zero matrix: traced by ``tracemalloc``,
+    a half-dense file peaks near 2.1× its matrix, a dense one near 3.15×.
+    A matrix too large to allocate is a ``DataError``.
     """
     labels, counts, cols, vals = array("q"), array("q"), array("q"), array("d")
     width = 0

@@ -12,9 +12,10 @@ each distinct (top-N columns, cost) classifier once, always on standardized
 columns. So the test split can never influence the selection stage.
 
 Each stage has one route. Rankings come from ``scoring.rank_scaled``.
-Every classifier fit, whether from ``train_linear``, ``fit_classifier`` or
-a holdout, goes through ``_fit_classifiers``, which checks the shapes,
-class count and cost. It hands every fit of one column count to
+Every classifier fit, whether one binary fit from ``train_linear`` or a
+holdout's fits on its one standardized training matrix, goes through
+``_fit_classifiers``, which checks the matrix's shape, the class count,
+each cost and the epoch cap. It hands every fit of one column count to
 ``_train_linear_batch``, which steps them in lockstep, one set of numpy
 calls per round, and each fit's result is bitwise what it gets alone.
 """
@@ -74,7 +75,7 @@ def train_linear(
     if classes.size != 2:
         raise ValueError(f"binary training needs exactly 2 classes, got {classes.size}")
     x = np.asarray(x, dtype=np.float64)  # shape[-1]: a 1-D x reaches the shape check
-    [model] = _fit_classifiers([(x, np.arange(x.shape[-1]), cost)], y, epochs)
+    [model] = _fit_classifiers(x, y, [(np.arange(x.shape[-1]), cost)], epochs)
     return model
 
 
@@ -167,16 +168,10 @@ class _OneVsRest:
         return self.classes[np.argmax(scores, axis=1)]
 
 
-def fit_classifier(x, y, cost):
-    """Binary classifier, or a one-vs-rest reduction for more classes."""
-    x = np.asarray(x, dtype=np.float64)  # shape[-1]: a 1-D x reaches the shape check
-    [model] = _fit_classifiers([(x, np.arange(x.shape[-1]), cost)], y)
-    return model
-
-
-def _fit_classifiers(problems, y, epochs=DEFAULT_EPOCHS):
-    """``fit_classifier`` for each ``(values, cols, cost)`` problem, trained on
-    the columns ``cols`` of ``values`` with the labels ``y``.
+def _fit_classifiers(values, y, problems, epochs=DEFAULT_EPOCHS):
+    """One classifier per ``(cols, cost)`` problem, trained on the columns
+    ``cols`` of ``values`` with the labels ``y``: a ``LinearClassifier`` for
+    two classes, a one-vs-rest reduction for more.
 
     All binary fits (one per class of a one-vs-rest problem) of one column
     count run through ``_train_linear_batch`` together, in as few equal
@@ -187,16 +182,18 @@ def _fit_classifiers(problems, y, epochs=DEFAULT_EPOCHS):
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("training data contains a single class")
-    for values, _, cost in problems:
-        if values.ndim != 2 or values.shape[0] != y.shape[0]:
-            raise ValueError(f"shape mismatch: x {values.shape} vs y {y.shape}")
+    if values.ndim != 2 or values.shape[0] != y.shape[0]:
+        raise ValueError(f"shape mismatch: x {values.shape} vs y {y.shape}")
+    for _, cost in problems:
         if not (isinstance(cost, numbers.Real) and cost > 0):  # NaN too
             raise ValueError(f"cost must be positive, got {cost!r}")
+    if not (isinstance(epochs, numbers.Integral) and epochs >= 0):
+        raise ValueError(f"epochs must be a non-negative integer, got {epochs!r}")
     positives = classes[1:] if classes.size == 2 else classes
-    fits = [(values, cols, y == c, cost) for values, cols, cost in problems for c in positives]
+    fits = [(cols, y == c, cost) for cols, cost in problems for c in positives]
     results = [None] * len(fits)
     by_k = {}
-    for i, (_, cols, _, _) in enumerate(fits):
+    for i, (cols, _, _) in enumerate(fits):
         by_k.setdefault(len(cols), []).append(i)
     for k, group in by_k.items():
         per_chunk = max(1, BATCH_BYTES // _batch_bytes(y.size, k))
@@ -204,10 +201,9 @@ def _fit_classifiers(problems, y, epochs=DEFAULT_EPOCHS):
             chunk = chunk.tolist()
             xs = np.empty((len(chunk), y.size, k))
             for slot, i in enumerate(chunk):
-                values, cols = fits[i][:2]
-                xs[slot] = values[:, cols]
-            targets = np.where([fits[i][2] for i in chunk], 1.0, -1.0)
-            batch = _train_linear_batch(xs, targets, [fits[i][3] for i in chunk], epochs)
+                xs[slot] = values[:, fits[i][0]]
+            targets = np.where([fits[i][1] for i in chunk], 1.0, -1.0)
+            batch = _train_linear_batch(xs, targets, [fits[i][2] for i in chunk], epochs)
             for i, result in zip(chunk, batch):
                 results[i] = result
     if classes.size == 2:
@@ -306,9 +302,10 @@ def _holdout(train: Dataset, test: Dataset, grid, n_eval, with_auc=False):
             keys.setdefault(key, order[:n])
             entry.append(key)
         entries.append(entry)
-    problems = [(fit_train.values, cols, cost) for (_, cost), cols in keys.items()]
+    problems = [(cols, cost) for (_, cost), cols in keys.items()]
+    models = _fit_classifiers(fit_train.values, train.labels, problems)
     scored = {}
-    for (key, cols), model in zip(keys.items(), _fit_classifiers(problems, train.labels)):
+    for (key, cols), model in zip(keys.items(), models):
         test_x = fit_test[:, cols]
         acc = float(np.mean(model.predict(test_x) == test.labels))
         auc = None
@@ -473,8 +470,7 @@ def evaluate_selector(
     seed: int = 0,
     folds: int = 5,
     cost_grid=COST_GRID,
-    return_ranking: bool = False,
-):
+) -> EvalReport:
     """Run the full train/test protocol for one selector configuration.
 
     Ranks features on the training split only; when ``config.alpha`` is
@@ -483,5 +479,5 @@ def evaluate_selector(
     positive numbers, one or more). Top-N values larger than the feature
     count are clipped, with a warning, and recorded in the report.
     """
-    [(report, ranking)] = _evaluate(d_train, d_test, [config], n_grid, seed, folds, cost_grid)
-    return (report, ranking) if return_ranking else report
+    [(report, _)] = _evaluate(d_train, d_test, [config], n_grid, seed, folds, cost_grid)
+    return report

@@ -42,10 +42,6 @@ class FeatureRanking:
         object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
 
 
-def _as_matrix(a) -> np.ndarray:
-    return a.a if isinstance(a, AdjacencyMatrix) else _checked_matrix(a)
-
-
 def _power_iteration(a: np.ndarray) -> tuple[float, bool]:
     # ‖A v‖ from the all-ones start, and whether it stabilised to relative
     # tolerance _POWER_TOL within _POWER_STEPS steps (0 for the zero matrix).
@@ -77,7 +73,7 @@ def spectral_radius(a) -> float:
     estimate has not stabilized to relative tolerance ``_POWER_TOL`` within
     ``_POWER_STEPS`` iterations either.
     """
-    a = _as_matrix(a)
+    a = a.a if isinstance(a, AdjacencyMatrix) else _checked_matrix(a)
     m = a.shape[0]
     if m == 1:
         return abs(float(a[0, 0]))
@@ -100,11 +96,13 @@ def energy_scores(a, c: float = 0.9) -> FeatureRanking:
     score vector is ``y - 1``. A zero matrix (every feature constant)
     yields all-zero scores and the identity ordering, with a warning.
     """
-    matrix = _as_matrix(a)
+    if not isinstance(a, AdjacencyMatrix):
+        a = AdjacencyMatrix(a)  # checked once: spectral_radius reads it as it is
+    matrix = a.a
     if not 0.0 < c < 1.0:
         raise ValueError(f"regularization fraction c must be in (0, 1), got {c}")
     m = matrix.shape[0]
-    rho = spectral_radius(a)  # the caller's a: an AdjacencyMatrix is not checked again
+    rho = spectral_radius(a)
     if rho == 0.0:
         warnings.warn("zero adjacency matrix: all energy scores are 0, ranking by index")
         return FeatureRanking(np.arange(m), np.zeros(m), 0.0, 0.0)

@@ -272,7 +272,35 @@ class TestRankCommand:
         assert ',3,plain,' in out.read_text(encoding="utf-8")  # a name needing no quotes keeps its bytes
 
 
+@pytest.fixture(scope="module")
+def planted_split(tmp_path_factory):
+    """240 train and 600 test rows of 48 columns, 10 of which carry a noisy
+    linear margin whose sign past 1.0 is the label (perfbench's compare-cv
+    data at seed 0)."""
+    rng = np.random.default_rng(0)
+    planted = np.sort(rng.choice(48, size=10, replace=False))
+    values = rng.normal(size=(840, 48))
+    w = rng.uniform(1.0, 2.0, 10) * rng.choice([-1.0, 1.0], 10)
+    labels = (values[:, planted] @ w + rng.normal(scale=0.5, size=840) > 1.0).astype(np.int64)
+    tmp = tmp_path_factory.mktemp("planted")
+    return (write_csv(tmp / "train.csv", values[:240], labels[:240]),
+            write_csv(tmp / "test.csv", values[240:], labels[240:]))
+
+
 class TestEvalCommand:
+    @pytest.mark.parametrize("variant", ["ifs", "mifs", "sifs", "mrmr"])
+    def test_cv_ranking_is_rank_at_the_chosen_alpha(self, tmp_path, planted_split, variant):
+        # The ranking eval writes is the train split's ranking at the alpha
+        # its cross validation chose, byte for byte.
+        train, test = planted_split
+        assert main(["eval", train, test, "--variant", variant, "--alpha", "cv",
+                     "--label-column", "y", "--n-grid", "10", "--output", str(tmp_path / "ev")]) == 0
+        [alpha] = [line.split("=")[1] for line in (tmp_path / "ev.report.txt").read_text().splitlines()
+                   if line.startswith("chosen_alpha=")]
+        assert main(["rank", train, "--variant", variant, "--alpha", alpha, "--label-column", "y",
+                     "--output", str(tmp_path / "rank.csv")]) == 0
+        assert (tmp_path / "ev.ranking.csv").read_bytes() == (tmp_path / "rank.csv").read_bytes()
+
     def test_writes_reports_and_prints_summary(self, tmp_path, labeled_csv, test_csv, capsys):
         base = tmp_path / "run"
         code = main(["eval", labeled_csv, test_csv, "--variant", "sifs", "--alpha", "0.5",

@@ -18,7 +18,6 @@ from infinisel import (
 )
 from infinisel import evaluation
 from infinisel.config import COST_GRID
-from infinisel.evaluation import fit_classifier
 from oracles import auc_pairs, train_linear_reference
 
 
@@ -80,20 +79,21 @@ class TestTrainLinear:
         centers = np.array([[-4.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
         x = np.vstack([rng.normal(scale=0.3, size=(20, 2)) + c for c in centers])
         y = np.repeat([3, 7, 9], 20)  # arbitrary class ids
-        model = fit_classifier(x, y, cost=10.0)
+        model = fit_all_columns(x, y, cost=10.0)
         assert np.mean(model.predict(x) == y) >= 0.95
 
 
 def fit_all_columns(x, y, cost):
     """``_fit_classifiers`` on one problem that uses every column of ``x``."""
-    return evaluation._fit_classifiers([(x, np.arange(x.shape[1]), cost)], y)
+    [model] = evaluation._fit_classifiers(x, y, [(np.arange(x.shape[1]), cost)])
+    return model
 
 
 class TestTrainerArgumentErrors:
     """Each way into the trainer rejects bad arguments with these exact
     exceptions and messages."""
 
-    @pytest.mark.parametrize("fit", [train_linear, fit_classifier])
+    @pytest.mark.parametrize("fit", [train_linear])
     @pytest.mark.parametrize("x, y, message", [
         (np.ones((5, 2)), [0, 1, 0, 1], "shape mismatch: x (5, 2) vs y (4,)"),
         (np.ones((3, 2)), [0, 1, 0, 1], "shape mismatch: x (3, 2) vs y (4,)"),
@@ -118,7 +118,7 @@ class TestTrainerArgumentErrors:
             train_linear(np.ones((4, 2)), y, 1.0)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("fit", [fit_classifier, fit_all_columns])
+    @pytest.mark.parametrize("fit", [fit_all_columns])
     def test_single_class(self, fit):
         with pytest.raises(ValueError) as exc:
             fit(np.ones((4, 2)), np.array([3, 3, 3, 3]), 1.0)
@@ -126,8 +126,6 @@ class TestTrainerArgumentErrors:
 
     @pytest.mark.parametrize("fit, y", [
         (train_linear, [0, 1, 0, 1]),
-        (fit_classifier, [0, 1, 0, 1]),
-        (fit_classifier, [0, 1, 2, 1]),
         (fit_all_columns, [0, 1, 0, 1]),
         (fit_all_columns, [0, 1, 2, 1]),
     ])
@@ -142,12 +140,12 @@ class TestTrainerArgumentErrors:
 
     def test_non_positive_cost_in_any_problem(self):
         x, y = np.ones((4, 2)), np.array([0, 1, 0, 1])
-        problems = [(x, np.array([0]), 1.0), (x, np.array([1, 0]), 0.0)]
+        problems = [(np.array([0]), 1.0), (np.array([1, 0]), 0.0)]
         with pytest.raises(ValueError) as exc:
-            evaluation._fit_classifiers(problems, y)
+            evaluation._fit_classifiers(x, y, problems)
         assert str(exc.value) == "cost must be positive, got 0.0"
 
-    @pytest.mark.parametrize("fit", [train_linear, fit_classifier, fit_all_columns])
+    @pytest.mark.parametrize("fit", [train_linear, fit_all_columns])
     def test_nan_cost(self, fit):
         # NaN <= 0 is false: a NaN cost once trained a zero classifier
         # whose objective history was (nan,).
@@ -155,7 +153,7 @@ class TestTrainerArgumentErrors:
             fit(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 0, 1]), float("nan"))
         assert str(exc.value) == "cost must be positive, got nan"
 
-    @pytest.mark.parametrize("fit", [train_linear, fit_classifier])
+    @pytest.mark.parametrize("fit", [train_linear, fit_all_columns])
     @pytest.mark.parametrize("cost", ["1", None, 0.0, float("nan")])
     def test_cost_not_a_positive_number(self, fit, cost):
         # A non-number is a ValueError like 0 or NaN, not a TypeError from
@@ -163,6 +161,19 @@ class TestTrainerArgumentErrors:
         with pytest.raises(ValueError) as exc:
             fit(np.ones((4, 2)), np.array([0, 1, 0, 1]), cost)
         assert str(exc.value) == f"cost must be positive, got {cost!r}"
+
+    @pytest.mark.parametrize("epochs", ["5", None, 2.5, -3, float("nan")])
+    def test_epochs_not_a_non_negative_integer(self, epochs):
+        # "5" and None once raised TypeError from the comparison, 2.5 ran
+        # 3 epochs and -3 ran none.
+        with pytest.raises(ValueError) as exc:
+            train_linear(np.ones((4, 2)), np.array([0, 1, 0, 1]), 1.0, epochs)
+        assert str(exc.value) == f"epochs must be a non-negative integer, got {epochs!r}"
+
+    def test_zero_epochs_is_the_zero_classifier(self):
+        model = train_linear(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 0, 1]), 1.0, 0)
+        assert model.weights.tolist() == [0.0] and model.bias == 0.0
+        assert len(model.objective_history) == 1
 
 
 TRAINER_KINDS = ("normal", "rounded", "constant column", "separable", "constant only")
@@ -273,11 +284,11 @@ class TestTrainLinearExactness:
         values = rng.normal(size=(60, 8))
         y = rng.integers(0, 3, 60) * 4 + 1  # class ids 1, 5 and 9
         values[:, 0] += y / 4.0
-        problems = [(values, np.array(cols), cost) for cols, cost in [
+        problems = [(np.array(cols), cost) for cols, cost in [
             ([0, 1, 2], 0.1), ([3, 0, 5], 10.0), ([0, 1, 2], 100.0), ([7], 1.0), ([2, 4], 1.0),
         ]]
-        models = evaluation._fit_classifiers(problems, y)
-        for (_, cols, cost), model in zip(problems, models):
+        models = evaluation._fit_classifiers(values, y, problems)
+        for (cols, cost), model in zip(problems, models):
             assert model.classes.tolist() == [1, 5, 9] and len(model.models) == 3
             for c, binary in zip(model.classes, model.models):
                 assert_same_classifier(binary, train_linear(values[:, cols], np.where(y == c, 1, 0), cost))
@@ -286,7 +297,7 @@ class TestTrainLinearExactness:
         rng = np.random.default_rng(91)
         values = rng.normal(size=(50, 6))
         y = (values[:, 0] + rng.normal(size=50) > 0).astype(np.int64)
-        problems = [(values, rng.permutation(6)[:k], cost) for k in (2, 4) for cost in COST_GRID]
+        problems = [(rng.permutation(6)[:k], cost) for k in (2, 4) for cost in COST_GRID]
         sizes = []
         kernel = evaluation._train_linear_batch
 
@@ -295,11 +306,11 @@ class TestTrainLinearExactness:
             return kernel(xs, targets, costs, epochs)
 
         monkeypatch.setattr(evaluation, "_train_linear_batch", sizing_kernel)
-        together = evaluation._fit_classifiers(problems, y)
+        together = evaluation._fit_classifiers(values, y, problems)
         assert sizes == [5, 5]  # one chunk per column count
         sizes.clear()
         monkeypatch.setattr(evaluation, "BATCH_BYTES", 1)
-        alone = evaluation._fit_classifiers(problems, y)
+        alone = evaluation._fit_classifiers(values, y, problems)
         assert sizes == [1] * 10
         for a, b in zip(together, alone):
             assert_same_classifier(a, b)
@@ -319,7 +330,7 @@ class TestTrainLinearExactness:
         rng = np.random.default_rng(92)
         values = rng.normal(size=(n, k))
         y = np.arange(n) % 2
-        evaluation._fit_classifiers([(values, np.arange(k), 1.0)] * count, y, epochs=2)
+        evaluation._fit_classifiers(values, y, [(np.arange(k), 1.0)] * count, epochs=2)
         assert sum(p for p, _, _ in shapes) == count
         per_chunk = max(1, budget // evaluation._batch_bytes(n, k))
         assert len(shapes) == -(-count // per_chunk)  # no more chunks than the budget needs
@@ -512,15 +523,14 @@ class TestEvaluateSelector:
         train = labeled_dataset(rng, 40, 5)
         test_a = labeled_dataset(rng, 30, 5)
         test_b = labeled_dataset(rng, 30, 5)  # entirely different test data
-        config = SelectorConfig(variant="mifs", alpha=0.5)
-        _, (order_a, scores_a) = evaluate_selector(
-            train, test_a, config, n_grid=(3,), return_ranking=True
-        )
-        _, (order_b, scores_b) = evaluate_selector(
-            train, test_b, config, n_grid=(3,), return_ranking=True
-        )
-        np.testing.assert_array_equal(order_a, order_b)
-        np.testing.assert_array_equal(scores_a, scores_b)
+        # A fixed alpha, and one cross validation picks on the train split.
+        configs = [SelectorConfig(variant="mifs", alpha=alpha) for alpha in (0.5, "cv")]
+        runs_a = evaluation._evaluate(train, test_a, configs, (3,), 0)
+        runs_b = evaluation._evaluate(train, test_b, configs, (3,), 0)
+        for (report_a, (order_a, scores_a)), (report_b, (order_b, scores_b)) in zip(runs_a, runs_b):
+            assert report_a.chosen_alpha == report_b.chosen_alpha
+            np.testing.assert_array_equal(order_a, order_b)
+            np.testing.assert_array_equal(scores_a, scores_b)
 
     def test_perfect_feature_yields_full_accuracy(self):
         rng = np.random.default_rng(68)
@@ -646,16 +656,19 @@ class TestEvaluateSelector:
         assert with_auc.to_json() == head + '  "per_n_auc": {\n    "10": 1.0,\n    "2": 0.25\n  },\n' + tail
 
 
-    @pytest.mark.parametrize("variant", ["ifs", "mifs", "sifs", "mrmr"])
-    def test_ranking_is_selection_order_on_train(self, variant):
+    @pytest.mark.parametrize("variant, alpha", [
+        pytest.param(variant, alpha, id=variant if alpha == 0.3 else f"{variant}-cv")
+        for alpha in (0.3, "cv") for variant in ("ifs", "mifs", "sifs", "mrmr")
+    ])
+    def test_ranking_is_selection_order_on_train(self, variant, alpha):
+        # Under "cv" the ranking is the one at the alpha the report chose.
         rng = np.random.default_rng(82)
         train = labeled_dataset(rng, 40, 6)
         test = labeled_dataset(rng, 30, 6)
-        config = SelectorConfig(variant=variant, alpha=0.3)
-        _, (order, scores) = evaluate_selector(
-            train, test, config, n_grid=(3,), return_ranking=True
-        )
-        expected_order, expected_scores = selection_order(train, config)
+        config = SelectorConfig(variant=variant, alpha=alpha)
+        [(report, (order, scores))] = evaluation._evaluate(train, test, [config], (3,), 0)
+        expected_order, expected_scores = selection_order(
+            train, config.with_alpha(report.chosen_alpha))
         np.testing.assert_array_equal(order, expected_order)
         assert scores.tobytes() == expected_scores.tobytes()
 

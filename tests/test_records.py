@@ -20,9 +20,10 @@ from infinisel import (
     build_measure_cache,
     energy_scores,
     fit_scaler,
+    train_linear,
 )
 from infinisel.adjacency import GRAPHS
-from infinisel.evaluation import fit_classifier
+from infinisel.evaluation import _fit_classifiers
 
 VALUES = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 2.0], [2.0, 3.0, 1.0], [4.0, 2.0, 0.0]])
 MATRIX = np.array([[0.0, 0.5, 0.2], [0.5, 0.0, 0.7], [0.2, 0.7, 0.0]])
@@ -42,9 +43,10 @@ def build(kind):
         return build_measure_cache(Dataset(VALUES, labels=[0, 1, 0, 1]), BinningPolicy(bin_count=2),
                                    need_mi_matrix=True, need_spearman=True, need_relevance=True)
     if kind == "LinearClassifier":
-        return fit_classifier(VALUES, np.array([0, 1, 0, 1]), 1.0)
+        return train_linear(VALUES, np.array([0, 1, 0, 1]), 1.0)
     assert kind == "_OneVsRest"
-    return fit_classifier(VALUES, np.array([0, 1, 2, 1]), 1.0)
+    [model] = _fit_classifiers(VALUES, np.array([0, 1, 2, 1]), [(np.arange(3), 1.0)])
+    return model
 
 
 @pytest.mark.parametrize("kind", ["Dataset", "FeatureScaler", "FeatureRanking", "AdjacencyMatrix",

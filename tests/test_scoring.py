@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from oracles import inverse_route_scores, nmi, truncated_energy_scores, truncation_length
 
 from infinisel import (
+    AdjacencyMatrix,
     BinningPolicy,
     ConfigError,
     Dataset,
     SelectorConfig,
+    adjacency,
     energy_scores,
     mrmr_select,
     preprocess,
@@ -80,6 +82,25 @@ class TestPlainMatrixChecks:
         a = np.array([[1.0, -1e-12], [-1e-12, 1.0]])
         assert spectral_radius(a) == 1.0
         np.testing.assert_array_equal(energy_scores(a).scores, energy_scores(np.eye(2)).scores)
+
+    def test_energy_scores_checks_a_plain_array_once(self, monkeypatch):
+        # AdjacencyMatrix checks through adjacency's binding, spectral_radius
+        # through scoring's: both are counted.
+        rng = np.random.default_rng(36)
+        a = random_symmetric(rng, 6)
+        expected = energy_scores(AdjacencyMatrix(a), 0.9).scores
+        calls = []
+        checked = adjacency._checked_matrix
+
+        def counting(matrix):
+            calls.append(1)
+            return checked(matrix)
+
+        monkeypatch.setattr(adjacency, "_checked_matrix", counting)
+        monkeypatch.setattr(scoring, "_checked_matrix", counting)
+        scores = energy_scores(a, 0.9).scores
+        assert len(calls) == 1
+        assert scores.tobytes() == expected.tobytes()
 
     def test_tiny_entries_underflow_to_a_zero_radius(self):
         # sqrt(x**2) underflows to 0 for x = 1e-200: the norm == 0 exit.
