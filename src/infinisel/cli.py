@@ -50,12 +50,12 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
-def _configs_from_args(args, variants, allow_cv: bool) -> tuple[list[SelectorConfig], int]:
-    """The selector config for each of ``variants`` and the fold seed."""
+def _configs_from_args(args, variants, allow_cv: bool) -> list[SelectorConfig]:
+    """The selector config for each of ``variants``."""
     binning_kind = _BINNING_NAMES.get(args.binning)
     if binning_kind is None:
         raise ConfigError(f"--binning must be 'width' or 'frequency', got {args.binning!r}")
-    configs = [
+    return [
         SelectorConfig(
             variant=variant,
             alpha=_parse_alpha(args.alpha, allow_cv),
@@ -65,10 +65,6 @@ def _configs_from_args(args, variants, allow_cv: bool) -> tuple[list[SelectorCon
         )
         for variant in variants
     ]
-    seed = _parse_number(args.seed, "--seed", int)
-    if seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
-    return configs, seed
 
 
 def _load_dataset(path: str, args) -> Dataset:
@@ -108,7 +104,7 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_rank(args) -> int:
-    [config], _ = _configs_from_args(args, [args.variant], allow_cv=False)
+    [config] = _configs_from_args(args, [args.variant], allow_cv=False)
     # selection_order's steps, with the raw matrix freed once it is scaled,
     # before ranking: ``scaled`` carries the same names.
     scaled = preprocess(_load_dataset(args.input, args), config.resolved_preprocessing)
@@ -121,7 +117,10 @@ def _run_evals(args, variants):
     """Evaluate the variants on one load of the train/test split and one
     fold plan; returns the training split and, per variant, the report
     with the ranking order and scores on the training split."""
-    configs, seed = _configs_from_args(args, variants, allow_cv=True)
+    configs = _configs_from_args(args, variants, allow_cv=True)
+    seed = _parse_number(args.seed, "--seed", int)
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     d_train = _load_dataset(args.train, args)
     d_test = _load_dataset(args.test, args)
     n_grid = _parse_n_grid(args.n_grid)
@@ -174,7 +173,6 @@ def _add_common_flags(sub, default_alpha: str) -> None:
     sub.add_argument("--binning", default="frequency", help="binning rule: width or frequency")
     sub.add_argument("--label-column", default=None, help="CSV column holding class labels")
     sub.add_argument("--format", default="csv", help="input format: csv or libsvm")
-    sub.add_argument("--seed", default="0", help="seed for fold assignment")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("test", help="test split")
     ev.add_argument("--variant", default="mifs", help=_VARIANT_HELP)
     _add_common_flags(ev, default_alpha="cv")
-    ev.add_argument("--n-grid", default=",".join(str(n) for n in DEFAULT_N_GRID),
-                    help="comma-separated top-N sizes")
     ev.add_argument("--output", required=True,
                     help="base path; writes <base>.report.txt/.json and <base>.ranking.csv")
     ev.set_defaults(func=cmd_eval)
@@ -210,13 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("train", help="training split")
     comp.add_argument("test", help="test split")
     _add_common_flags(comp, default_alpha="cv")
-    comp.add_argument("--n-grid", default=",".join(str(n) for n in DEFAULT_N_GRID),
-                      help="comma-separated top-N sizes")
     comp.add_argument("--variants", default=",".join(SELECTOR_VARIANTS),
                       help="comma-separated list of variants to compare")
     comp.add_argument("--output", required=True,
                       help="base path; writes <base>.<variant>.report.* and <base>.summary.txt")
     comp.set_defaults(func=cmd_compare)
+    for sub in (ev, comp):  # rank assigns no folds and keeps every feature
+        sub.add_argument("--n-grid", default=",".join(str(n) for n in DEFAULT_N_GRID),
+                         help="comma-separated top-N sizes")
+        sub.add_argument("--seed", default="0", help="seed for fold assignment")
     return parser
 
 

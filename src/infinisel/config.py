@@ -37,7 +37,7 @@ class SelectorConfig:
         if self.variant not in SELECTOR_VARIANTS:
             valid = ", ".join(SELECTOR_VARIANTS)
             raise ConfigError(f"unknown variant {self.variant!r}; valid variants: {valid}")
-        if isinstance(self.alpha, str):
+        if isinstance(self.alpha, (str, bool)):  # float(True) would be alpha 1.0
             if self.alpha != "cv":
                 raise ConfigError(f"alpha must be a number in [0, 1] or 'cv', got {self.alpha!r}")
         else:

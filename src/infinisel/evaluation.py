@@ -8,8 +8,9 @@ split only, in one ``cross_validate`` call per command over the grids
 of all its configs. Each CV fold and the final train/test run go through
 one holdout function, ``_holdout``: it fits preprocessing statistics on
 the training rows only, applies them to the held-out rows, ranks, and fits
-each distinct (top-N columns, cost) classifier once, always on standardized
-columns. So the test split can never influence the selection stage.
+one classifier per distinct (top-N column set, cost) on standardized columns
+in ascending index order. So the test split can never influence the
+selection stage.
 
 Each stage has one route. Rankings come from ``scoring.rank_scaled``.
 Every classifier fit, whether one binary fit from ``train_linear`` or a
@@ -168,6 +169,10 @@ class _OneVsRest:
         return self.classes[np.argmax(scores, axis=1)]
 
 
+def _is_positive_number(x) -> bool:  # False for NaN, a string, None and a bool (a numbers.Real)
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and x > 0
+
+
 def _fit_classifiers(values, y, problems, epochs=DEFAULT_EPOCHS):
     """One classifier per ``(cols, cost)`` problem, trained on the columns
     ``cols`` of ``values`` with the labels ``y``: a ``LinearClassifier`` for
@@ -185,9 +190,9 @@ def _fit_classifiers(values, y, problems, epochs=DEFAULT_EPOCHS):
     if values.ndim != 2 or values.shape[0] != y.shape[0]:
         raise ValueError(f"shape mismatch: x {values.shape} vs y {y.shape}")
     for _, cost in problems:
-        if not (isinstance(cost, numbers.Real) and cost > 0):  # NaN too
+        if not _is_positive_number(cost):
             raise ValueError(f"cost must be positive, got {cost!r}")
-    if not (isinstance(epochs, numbers.Integral) and epochs >= 0):
+    if not (isinstance(epochs, numbers.Integral) and not isinstance(epochs, bool) and epochs >= 0):
         raise ValueError(f"epochs must be a non-negative integer, got {epochs!r}")
     positives = classes[1:] if classes.size == 2 else classes
     fits = [(cols, y == c, cost) for cols, cost in problems for c in positives]
@@ -225,7 +230,7 @@ def binary_auc(scores: np.ndarray, labels: np.ndarray, positive) -> float:
 
 
 def _check_fold_plan(folds, seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"fold seed must be a non-negative integer, got {seed!r}")
     if not isinstance(folds, (int, np.integer)):
         raise ConfigError(f"fold count must be an integer, got {folds!r}")
@@ -259,7 +264,7 @@ def stratified_fold_indices(labels: np.ndarray, folds: int, seed: int) -> np.nda
 def _effective_n_grid(n_grid, m) -> tuple[int, ...]:
     out = []
     for n in n_grid:
-        if not isinstance(n, (int, np.integer)):
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
             raise ConfigError(f"top-N values must be integers, got {n!r}")
         n = int(n)
         if n < 1:
@@ -275,9 +280,10 @@ def _holdout(train: Dataset, test: Dataset, grid, n_eval, with_auc=False):
 
     Ranks each distinct config once on ``train`` under its own scheme
     (rankings do not depend on the classifier cost), then fits one
-    classifier per distinct (ordered top-N columns, cost), all on one input:
-    the columns standardized by one scaler fitted on ``train`` only, which
-    standardize rankings reuse. Returns, aligned with ``grid``, the per-N
+    classifier per distinct (top-N column set, cost) on the set's columns in
+    ascending index order, standardized by one scaler fitted on ``train``
+    only, which standardize rankings reuse: rankings that keep one set in
+    any order share its fit. Returns, aligned with ``grid``, the per-N
     ``(accuracy, auc)`` pairs on ``test`` and each config's ``rank_scaled``
     ranking. ``auc`` is None unless ``with_auc`` is set and the task is
     binary: only the final holdout, whose AUCs reach a report, sets it.
@@ -292,26 +298,19 @@ def _holdout(train: Dataset, test: Dataset, grid, n_eval, with_auc=False):
             fit_train if scheme == "standardize" else preprocess(train, scheme), group))
     fit_test = scaler.apply(test.values)
 
-    # Each distinct (ordered top-N columns, cost), in first-use order.
-    keys, entries = {}, []
-    for config, cost in grid:
-        order = np.asarray(rankings[config].order)
-        entry = []
-        for n in n_eval:
-            key = (tuple(order[:n].tolist()), cost)
-            keys.setdefault(key, order[:n])
-            entry.append(key)
-        entries.append(entry)
-    problems = [(cols, cost) for (_, cost), cols in keys.items()]
+    # Each entry's fits, keyed by (top-N columns in ascending order, cost).
+    orders = {config: np.asarray(ranking.order).tolist() for config, ranking in rankings.items()}
+    entries = [[(tuple(sorted(orders[config][:n])), cost) for n in n_eval] for config, cost in grid]
+    problems = list(dict.fromkeys(key for entry in entries for key in entry))
     models = _fit_classifiers(fit_train.values, train.labels, problems)
     scored = {}
-    for (key, cols), model in zip(keys.items(), models):
+    for (cols, cost), model in zip(problems, models):
         test_x = fit_test[:, cols]
         acc = float(np.mean(model.predict(test_x) == test.labels))
         auc = None
         if with_auc and isinstance(model, LinearClassifier):
             auc = binary_auc(model.decision_function(test_x), test.labels, model.classes[1])
-        scored[key] = (acc, auc)
+        scored[cols, cost] = (acc, auc)
     return [[scored[key] for key in entry] for entry in entries], rankings
 
 
@@ -420,7 +419,7 @@ def _evaluate(
     # Every report records the fold seed, so a fixed alpha checks the plan too.
     _check_fold_plan(folds, seed)
     for cost in cost_grid:
-        if not (isinstance(cost, numbers.Real) and cost > 0):  # NaN too
+        if not _is_positive_number(cost):
             raise ConfigError(f"classifier costs must be positive numbers, got {cost!r}")
     # Per config: the chosen (config, cost), or a "cv" config's slice of
     # the shared grid until cross validation picks from it.

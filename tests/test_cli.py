@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -184,6 +186,15 @@ class TestRankCommand:
         assert code == 0
         assert capsys.readouterr().out.startswith("rank,index,name,score")
 
+    def test_stdout_without_a_byte_buffer(self, tmp_path, labeled_csv):
+        # A stdout with no .buffer, such as an io.StringIO, gets the text itself.
+        argv = ["rank", labeled_csv, "--label-column", "y", "--output"]
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            assert main([*argv, "-"]) == 0
+        assert main([*argv, str(tmp_path / "r.csv")]) == 0
+        assert stream.getvalue() == (tmp_path / "r.csv").read_text(encoding="utf-8")
+
     def test_width_binning_flag(self, tmp_path, labeled_csv):
         out = tmp_path / "w.csv"
         code = main(["rank", labeled_csv, "--variant", "mifs", "--alpha", "0.5",
@@ -329,15 +340,22 @@ class TestEvalCommand:
         alpha = float(text.splitlines()[1].split("=")[1])
         assert 0.0 <= alpha <= 1.0
 
-    @pytest.mark.parametrize("command", ["rank", "eval", "compare"])
+    @pytest.mark.parametrize("command", ["eval", "compare"])
     def test_negative_seed_exit_three(self, tmp_path, labeled_csv, test_csv, command, capsys):
-        inputs = [labeled_csv]
-        if command != "rank":
-            inputs += [test_csv, "--alpha", "cv", "--output", str(tmp_path / "x")]
+        inputs = [labeled_csv, test_csv, "--alpha", "cv", "--output", str(tmp_path / "x")]
         code = main([command, *inputs, "--seed", "-1", "--label-column", "y"])
         assert code == 3
         err = capsys.readouterr().err
         assert "--seed" in err and "Traceback" not in err
+
+    def test_rank_takes_no_seed(self, tmp_path, labeled_csv, capsys):
+        # rank assigns no folds, so a fold seed is an unrecognized argument.
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", labeled_csv, "--label-column", "y", "--seed", "0",
+                  "--output", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
 
     def test_abbreviated_flag_is_unknown(self, tmp_path, labeled_csv, test_csv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -521,7 +539,7 @@ class TestFlagErrors:
         ("rank", ["--alpha", "x"], "--alpha must be a number in [0, 1] or 'cv', got 'x'"),
         ("rank", ["--c", "x"], "--c must be a number, got 'x'"),
         ("rank", ["--bins", "2.5"], "--bins must be an integer, got '2.5'"),
-        ("rank", ["--seed", "x"], "--seed must be an integer, got 'x'"),
+        ("eval", ["--seed", "x"], "--seed must be an integer, got 'x'"),
         ("rank", ["--format", "xml"], "--format must be 'csv' or 'libsvm', got 'xml'"),
         ("eval", ["--n-grid", "1,x"], "--n-grid must be a comma-separated list of integers, got '1,x'"),
         ("eval", ["--n-grid", "0"], "--n-grid entries must be positive, got '0'"),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from infinisel import BinningPolicy, ConfigError, SelectorConfig
@@ -31,6 +33,13 @@ class TestValidation:
         assert config.alpha == "cv"
         with pytest.raises(ConfigError, match="cv"):
             config.fixed_alpha
+
+    @pytest.mark.parametrize("alpha", [True, False])
+    def test_bool_alpha_rejected(self, alpha):
+        # float(True) once made alpha 1.0.
+        message = f"alpha must be a number in [0, 1] or 'cv', got {alpha}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SelectorConfig(variant="ifs", alpha=alpha)
 
     def test_bad_alpha_string(self):
         with pytest.raises(ConfigError, match="alpha"):

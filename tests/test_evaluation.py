@@ -170,6 +170,18 @@ class TestTrainerArgumentErrors:
             train_linear(np.ones((4, 2)), np.array([0, 1, 0, 1]), 1.0, epochs)
         assert str(exc.value) == f"epochs must be a non-negative integer, got {epochs!r}"
 
+    def test_bool_cost_is_not_a_number(self):
+        # bool is a numbers.Real: True once trained at cost 1.0.
+        with pytest.raises(ValueError) as exc:
+            train_linear(np.ones((4, 2)), np.array([0, 1, 0, 1]), True)
+        assert str(exc.value) == "cost must be positive, got True"
+
+    def test_bool_epochs_is_not_an_integer(self):
+        # bool is a numbers.Integral: True once ran one epoch.
+        with pytest.raises(ValueError) as exc:
+            train_linear(np.ones((4, 2)), np.array([0, 1, 0, 1]), 1.0, True)
+        assert str(exc.value) == "epochs must be a non-negative integer, got True"
+
     def test_zero_epochs_is_the_zero_classifier(self):
         model = train_linear(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 0, 1]), 1.0, 0)
         assert model.weights.tolist() == [0.0] and model.bias == 0.0
@@ -594,6 +606,20 @@ class TestEvaluateSelector:
         with pytest.raises(ConfigError, match="seed"):
             evaluate_selector(train, test, config, n_grid=(2,), seed=seed, cost_grid=(1.0,))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", True, "fold seed must be a non-negative integer, got True"),
+        ("n_grid", (True,), "top-N values must be integers, got True"),
+        ("cost_grid", (True,), "classifier costs must be positive numbers, got True"),
+    ], ids=["seed", "n_grid", "cost_grid"])
+    def test_bool_is_not_a_number(self, field, value, message):
+        # True once passed as seed 1 (a report read fold_seed=True), top-1
+        # or cost 1.0.
+        rng = np.random.default_rng(82)
+        train, test = labeled_dataset(rng, 30, 4), labeled_dataset(rng, 20, 4)
+        kwargs = {"n_grid": (2,), "cost_grid": (1.0,), field: value}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            evaluate_selector(train, test, SelectorConfig(variant="ifs", alpha="cv"), **kwargs)
+
     @pytest.mark.parametrize("alpha", [0.5, "cv"])
     def test_empty_n_grid_is_config_error(self, alpha):
         rng = np.random.default_rng(85)
@@ -691,9 +717,11 @@ class TestEvaluateSelector:
             return Dataset(x * scales + shifts, labels=y)
 
         train, test = split(160), split(120)
-        accuracies = [evaluate_selector(train, test, config, n_grid=(6,)).per_n_accuracy
-                      for config in configs]
+        reports = [evaluate_selector(train, test, config, n_grid=(6,)) for config in configs]
+        accuracies = [report.per_n_accuracy for report in reports]
         assert accuracies == [accuracies[0]] * len(configs)
+        aucs = [report.per_n_auc for report in reports]
+        assert aucs == [aucs[0]] * len(configs)
 
 
 class TestCrossValidate:
@@ -829,3 +857,42 @@ class TestCrossValidate:
         grid = [(config, 1.0), (config.with_alpha(0.6), 1.0), (config, 1.0), (config, 0.1)]
         cross_validate(d, grid, folds=4, seed=0, n_grid=(1, 3))
         assert fits and len(fits) == len(set(fits))
+
+
+class TestHoldout:
+    """``_holdout`` fits one classifier per distinct (top-N column set, cost)."""
+
+    @pytest.fixture
+    def fit_costs(self, monkeypatch):
+        costs = []
+        kernel = evaluation._train_linear_batch
+
+        def counting_kernel(xs, targets, batch_costs, epochs):
+            costs.extend(batch_costs)
+            return kernel(xs, targets, batch_costs, epochs)
+
+        monkeypatch.setattr(evaluation, "_train_linear_batch", counting_kernel)
+        return costs
+
+    def test_all_columns_fit_once_per_cost(self, fit_costs):
+        # At top-N = m every variant keeps every column, in its own order.
+        rng = np.random.default_rng(84)
+        train, test = labeled_dataset(rng, 40, 6), labeled_dataset(rng, 30, 6)
+        configs = [SelectorConfig(variant=v, alpha=0.5) for v in ("ifs", "mifs", "sifs", "mrmr")]
+        grid = [(config, cost) for config in configs for cost in (0.1, 1.0)]
+        results, rankings = evaluation._holdout(train, test, grid, (6,), with_auc=True)
+        assert len({tuple(rankings[config].order) for config in configs}) > 1
+        assert sorted(fit_costs) == [0.1, 1.0]
+        assert results == results[:2] * len(configs)
+
+    def test_same_set_in_another_order_scores_bitwise_alike(self, fit_costs):
+        rng = np.random.default_rng(84)
+        train, test = labeled_dataset(rng, 40, 6), labeled_dataset(rng, 30, 6)
+        configs = [SelectorConfig(variant=v, alpha=0.5) for v in ("ifs", "mifs", "sifs")]
+        results, rankings = evaluation._holdout(
+            train, test, [(config, 1.0) for config in configs], (3,), with_auc=True)
+        tops = [tuple(rankings[config].order[:3].tolist()) for config in configs]
+        assert len(set(tops)) == 3 and len({frozenset(top) for top in tops}) == 1
+        assert fit_costs == [1.0]
+        [(acc, auc)] = results[0]
+        assert results == [[(acc, auc)]] * 3 and auc is not None
