@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 from .dataset import PREPROCESSING_SCHEMES
@@ -16,6 +17,10 @@ COST_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 # classifier sees standardized columns. Dispersion-based selectors want a
 # common [0, 1] range, the label-information selectors standardized features.
 _AUTO_PREPROCESSING = {"ifs": "normalize", "mifs": "normalize", "sifs": "standardize", "mrmr": "standardize"}
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -37,18 +42,24 @@ class SelectorConfig:
         if self.variant not in SELECTOR_VARIANTS:
             valid = ", ".join(SELECTOR_VARIANTS)
             raise ConfigError(f"unknown variant {self.variant!r}; valid variants: {valid}")
-        if isinstance(self.alpha, (str, bool)):  # float(True) would be alpha 1.0
-            if self.alpha != "cv":
+        # A bool is a numbers.Real (float(True) would be 1.0), and float()
+        # would take a numeric string.
+        if not _is_real(self.alpha):
+            if not (isinstance(self.alpha, str) and self.alpha == "cv"):
                 raise ConfigError(f"alpha must be a number in [0, 1] or 'cv', got {self.alpha!r}")
         else:
             object.__setattr__(self, "alpha", float(self.alpha))
             if not 0.0 <= self.alpha <= 1.0:
                 raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not _is_real(self.c):
+            raise ConfigError(f"regularization fraction c must be a number in (0, 1), got {self.c!r}")
         object.__setattr__(self, "c", float(self.c))
         if not 0.0 < self.c < 1.0:
             raise ConfigError(f"regularization fraction c must be in (0, 1), got {self.c}")
         if self.preprocessing not in PREPROCESSING_SCHEMES + ("auto",):
             raise ConfigError(f"unknown preprocessing {self.preprocessing!r}")
+        if not isinstance(self.binning, BinningPolicy):
+            raise ConfigError(f"binning must be a BinningPolicy, got {self.binning!r}")
 
     @property
     def resolved_preprocessing(self) -> str:

@@ -5,20 +5,23 @@ and maximum test accuracy.
 Hyperparameters (the relevance/redundancy trade-off and the classifier
 cost) are picked by stratified k-fold cross validation on the training
 split only, in one ``cross_validate`` call per command over the grids
-of all its configs. Each CV fold and the final train/test run go through
-one holdout function, ``_holdout``: it fits preprocessing statistics on
-the training rows only, applies them to the held-out rows, ranks, and fits
-one classifier per distinct (top-N column set, cost) on standardized columns
-in ascending index order. So the test split can never influence the
-selection stage.
+of all its configs. Each CV fold and the final train/test run are one
+holdout: ``_plan`` fits preprocessing statistics on the training rows only
+and ranks, one classifier is fitted per distinct (top-N column set, cost)
+on the training rows' standardized columns in ascending index order, and
+``_score`` applies the same statistics to the held-out rows. So the test
+split can never influence the selection stage. ``_holdout`` runs one
+holdout; ``cross_validate`` plans every fold, fits all folds' classifiers
+together, then scores each fold.
 
 Each stage has one route. Rankings come from ``scoring.rank_scaled``.
-Every classifier fit, whether one binary fit from ``train_linear`` or a
-holdout's fits on its one standardized training matrix, goes through
-``_fit_classifiers``, which checks the matrix's shape, the class count,
-each cost and the epoch cap. It hands every fit of one column count to
-``_train_linear_batch``, which steps them in lockstep, one set of numpy
-calls per round, and each fit's result is bitwise what it gets alone.
+Every classifier fit, whether one binary fit from ``train_linear``, a
+holdout's fits or all folds' fits, goes through ``_fit_classifiers``, which
+checks each training matrix's shape, its class count, each cost and the
+epoch cap. It hands every fit of one column count to ``_train_linear_batch``
+in one call (or in chunks, if they outgrow ``BATCH_BYTES``), which steps
+them in lockstep, one set of numpy calls per row count and round, and each
+fit's result is bitwise what it gets alone.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ import json
 import numbers
 import warnings
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
-from .config import ALPHA_GRID, COST_GRID, SelectorConfig
+from .config import ALPHA_GRID, COST_GRID, SelectorConfig, _is_real
 from .dataset import Dataset, _Fresh, fit_scaler, preprocess
 from .errors import ConfigError
 from .measures import _midranks
@@ -80,83 +84,109 @@ def train_linear(
     return model
 
 
-# Bytes of stacked matrices and round temporaries one lockstep batch may hold.
+# Bytes of stacked matrices, round arrays and histories one lockstep batch may hold.
 BATCH_BYTES = 2 * 1024 * 1024
 
 
-def _batch_bytes(n, k):
-    """What one n x k problem adds to a batch: its matrix in the stack and
-    its rows of the float arrays a round holds at once, at most six of
-    length n and eight of length k. Its objective history is its output."""
-    return 8 * (n * (k + 6) + 8 * k)
+def _batch_bytes(n, k, fits, epochs):
+    """What one n x k matrix and ``fits`` fits on it add to a lockstep batch:
+    the matrix, stacked once whatever its fit count, and per fit its targets
+    and round arrays (two rows of length n, eight of length k and 24
+    scalars) and its column of the (epochs + 1)-row history table."""
+    return 8 * n * k + fits * 8 * (2 * n + 8 * k + 24 + epochs + 1)
 
 
-def _train_linear_batch(xs, targets, costs, epochs):
-    """``train_linear``'s loop for a stack of same-shape problems, in lockstep.
+def _train_linear_batch(blocks, costs, epochs, histories=True):
+    """``train_linear``'s loop for many fits of one column count k, in lockstep.
 
-    ``xs`` is a C-contiguous (p, n, k) stack, ``targets`` (p, n) of +-1 and
-    ``costs`` (p,). Each round makes one trial step for every live problem
-    with one set of numpy calls. ``np.matmul`` on stacked operands makes,
-    per problem, the same BLAS gemv or dot call as the one-problem ``x @ w``,
-    and ``np.add.reduce(..., axis=1)`` the same pairwise sum per row. Every
-    problem keeps its own step, epoch count, history and stop rule (the
-    epoch cap, a zero gradient, or no accepted step), so each result is
-    bitwise the one the problem gets alone. A finished problem stays in the
-    stack, frozen, and ``xs`` is only read.
-    Returns ``(weights, bias, objective history)`` per problem.
+    ``blocks`` is a list of ``(xs, targets)`` pairs, say one per row count
+    n: ``xs`` holds one n x k matrix per fit, shape ``lead + (n, k)``, and
+    ``targets`` each fit's +-1 labels, shape ``lead + (n,)``. A zero stride
+    in ``lead`` (from ``np.broadcast_to``) lets fits share one stacked
+    matrix: the fits of one training matrix at several costs or, one vs
+    rest, for several classes. ``costs`` holds one cost per fit, the blocks'
+    fits in order (each ``lead`` in C order).
+
+    Each round makes one trial step for every live fit, with one set of
+    numpy calls per block for what reads the matrices and one set for the
+    rest. ``np.matmul`` on stacked operands makes, per fit, the same BLAS
+    gemv or dot call as the one-problem ``x @ w``, and ``np.add.reduce(...,
+    axis=-1)`` the same pairwise sum per row. Every fit keeps its own step,
+    epoch count, history and stop rule (the epoch cap, a zero gradient, or
+    no accepted step), so each result is bitwise the one the problem gets
+    alone. A finished fit stays in the stack, frozen, and ``xs`` is only
+    read. The round arrays are allocated once (a block's margins buffer
+    holds the hinge, then the gradient's active targets), and the histories
+    share one (epochs + 1)-row table. Returns ``(weights, bias, objective
+    history)`` per fit; the history is ``()`` unless ``histories``.
     """
-    p, n, k = xs.shape
-    t = np.asarray(targets, dtype=np.float64)
     lam = 1.0 / np.asarray(costs, dtype=np.float64)
-    # The p × n round arrays, written in place by every round.
-    margins, hinge, active = np.empty((p, n, 1)), np.empty((p, n)), np.empty((p, n))
-    below = np.empty((p, n), dtype=bool)
+    p, k = lam.size, blocks[0][0].shape[-1]
+    w, b, w_new, b_new = np.zeros((p, k)), np.zeros(p), np.zeros((p, k)), np.zeros(p)
+    xa, loss, asum, ns = np.empty((p, k)), np.empty(p), np.empty(p), np.empty(p)
+    views, lo = [], 0  # per block: what its numpy calls read and write
+    for xs, t in blocks:
+        lead, n = xs.shape[:-2], xs.shape[-2]
+        hi = lo + xs[..., 0, 0].size
+        margins = np.empty(lead + (n, 1))  # x @ w, then the hinge, then the active targets
+        hinge = margins[..., 0]
+        views.append((xs, t, margins, hinge, hinge[..., None, :], w_new[lo:hi].reshape(lead + (k, 1)),
+                      b_new[lo:hi].reshape(lead + (1,)), loss[lo:hi].reshape(lead),
+                      xa[lo:hi].reshape(lead + (1, k)), asum[lo:hi].reshape(lead)))
+        ns[lo:hi] = n
+        lo = hi
 
-    def objective(w, b):  # fills margins (p × n) and hinge
-        np.matmul(xs, w[:, :, None], out=margins)
-        rows = margins[:, :, 0]
-        rows += b[:, None]
-        rows *= t
-        np.subtract(1.0, rows, out=hinge)
-        np.maximum(0.0, hinge, out=hinge)
-        penalty = 0.5 * lam * np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
-        return penalty + np.add.reduce(hinge, axis=1) / n
+    def objective():  # at (w_new, b_new); leaves each block's hinge in its margins
+        for xs, t, margins, hinge, _, wv, bv, lv, _, _ in views:
+            np.matmul(xs, wv, out=margins)
+            hinge += bv
+            hinge *= t
+            np.subtract(1.0, hinge, out=hinge)
+            np.maximum(0.0, hinge, out=hinge)
+            np.add.reduce(hinge, axis=-1, out=lv)
+        penalty = 0.5 * lam * np.matmul(w_new[:, None, :], w_new[:, :, None])[:, 0, 0]
+        return penalty + loss / ns
 
-    def gradient(w):  # at (w, b), from the margins of its objective call
-        np.less(margins[:, :, 0], 1.0, out=below)
-        np.multiply(t, below, out=active)  # ±0.0 where inactive, as t * (margins < 1)
-        gw = lam[:, None] * w - np.matmul(active[:, None, :], xs)[:, 0, :] / n
-        gb = -np.add.reduce(active, axis=1) / n
+    def gradient():  # at (w, b) = (w_new, b_new), from the hinge of its objective call
+        for xs, t, _, hinge, row, _, _, _, xv, av in views:
+            np.greater(hinge, 0.0, out=hinge)  # 1.0 where margin < 1, else 0.0
+            np.multiply(t, hinge, out=hinge)  # ±0.0 where inactive, as t * (margins < 1)
+            np.matmul(row, xs, out=xv)
+            np.add.reduce(hinge, axis=-1, out=av)
+        gw = lam[:, None] * w - xa / ns[:, None]
+        gb = -asum / ns
         return gw, gb, np.matmul(gw[:, None, :], gw[:, :, None])[:, 0, 0] + gb * gb
 
-    w, b = np.zeros((p, k)), np.zeros(p)
-    obj = objective(w, b)
-    histories = [[value] for value in obj.tolist()]
+    obj = objective()
+    history = np.empty((epochs + 1, p))  # row e: each fit's objective after e accepted epochs
+    history[0] = obj
+    fit = np.arange(p)
     done = np.zeros(p, dtype=np.intp)  # accepted epochs
     step = np.full(p, 2.0)  # the first epoch doubles the unit step
-    gw, gb, norm2 = gradient(w)
+    gw, gb, norm2 = gradient()
     live = ~(norm2 <= 1e-24) & (epochs > 0)
     while live.any():
-        w_new, b_new = w - step[:, None] * gw, b - step * gb
-        obj_new = objective(w_new, b_new)
+        np.subtract(w, step[:, None] * gw, out=w_new)
+        np.subtract(b, step * gb, out=b_new)
+        obj_new = objective()
         accepted = live & (obj_new < obj)
         rejected = live & ~accepted
         np.copyto(w, w_new, where=accepted[:, None])
         np.copyto(b, b_new, where=accepted)
         np.copyto(obj, obj_new, where=accepted)
         done += accepted
-        for i, value in zip(np.flatnonzero(accepted).tolist(), obj_new[accepted].tolist()):
-            histories[i].append(value)
+        history[done, fit] = obj  # rewrites the last entry of every fit that did not move
         np.multiply(step, 0.5, out=step, where=rejected)
         live &= ~(rejected & (step <= 1e-18)) & (done < epochs)
         moved = accepted & live
         if moved.any():
-            gw_new, gb_new, norm2 = gradient(w)
+            gw_new, gb_new, norm2 = gradient()
             np.copyto(gw, gw_new, where=moved[:, None])
             np.copyto(gb, gb_new, where=moved)
             np.copyto(step, np.minimum(step * 2.0, 1e6), where=moved)
             live &= ~(moved & (norm2 <= 1e-24))
-    return [(w[i], float(b[i]), tuple(histories[i])) for i in range(p)]
+    return [(w[i], float(b[i]), tuple(history[: done[i] + 1, i].tolist()) if histories else ())
+            for i in range(p)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,52 +200,94 @@ class _OneVsRest:
 
 
 def _is_positive_number(x) -> bool:  # False for NaN, a string, None and a bool (a numbers.Real)
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and x > 0
+    return _is_real(x) and x > 0
 
 
-def _fit_classifiers(values, y, problems, epochs=DEFAULT_EPOCHS):
+def _fit_classifiers(values, y, problems, epochs=DEFAULT_EPOCHS, histories=True):
     """One classifier per ``(cols, cost)`` problem, trained on the columns
     ``cols`` of ``values`` with the labels ``y``: a ``LinearClassifier`` for
-    two classes, a one-vs-rest reduction for more.
+    two classes, a one-vs-rest reduction for more. ``values`` and ``y`` may
+    instead be lists, one matrix and one label vector per training set (a
+    cross-validation fold, say); each problem is then ``(set, cols, cost)``.
 
-    All binary fits (one per class of a one-vs-rest problem) of one column
-    count run through ``_train_linear_batch`` together, in as few equal
-    chunks as keep each chunk's ``_batch_bytes`` within ``BATCH_BYTES``. A
-    fit larger than that runs alone.
+    The binary fits (one per class of a one-vs-rest problem) of one column
+    count go to ``_train_linear_batch`` in one call, whatever their sets and
+    row counts, with each (set, columns) matrix stacked once and shared by
+    all its fits. If their ``_batch_bytes`` exceed ``BATCH_BYTES``, they run
+    in chunks filled in order up to it; a fit that alone exceeds it runs
+    alone. Without ``histories`` every ``objective_history`` is ``()``:
+    a history costs a Python float per epoch.
     """
-    y = np.asarray(y)
-    classes = np.unique(y)
-    if classes.size < 2:
-        raise ValueError("training data contains a single class")
-    if values.ndim != 2 or values.shape[0] != y.shape[0]:
-        raise ValueError(f"shape mismatch: x {values.shape} vs y {y.shape}")
-    for _, cost in problems:
+    if not isinstance(values, list):
+        values, y, problems = [values], [y], [(0, cols, cost) for cols, cost in problems]
+    y = [np.asarray(labels) for labels in y]
+    classes = [np.unique(labels) for labels in y]
+    for x, labels, cls in zip(values, y, classes):
+        if cls.size < 2:
+            raise ValueError("training data contains a single class")
+        if x.ndim != 2 or x.shape[0] != labels.shape[0]:
+            raise ValueError(f"shape mismatch: x {x.shape} vs y {labels.shape}")
+    for _, _, cost in problems:
         if not _is_positive_number(cost):
             raise ValueError(f"cost must be positive, got {cost!r}")
     if not (isinstance(epochs, numbers.Integral) and not isinstance(epochs, bool) and epochs >= 0):
         raise ValueError(f"epochs must be a non-negative integer, got {epochs!r}")
-    positives = classes[1:] if classes.size == 2 else classes
-    fits = [(cols, y == c, cost) for cols, cost in problems for c in positives]
-    results = [None] * len(fits)
-    by_k = {}
-    for i, (cols, _, _) in enumerate(fits):
-        by_k.setdefault(len(cols), []).append(i)
-    for k, group in by_k.items():
-        per_chunk = max(1, BATCH_BYTES // _batch_bytes(y.size, k))
-        for chunk in np.array_split(group, -(-len(group) // per_chunk)):
-            chunk = chunk.tolist()
-            xs = np.empty((len(chunk), y.size, k))
-            for slot, i in enumerate(chunk):
-                xs[slot] = values[:, fits[i][0]]
-            targets = np.where([fits[i][1] for i in chunk], 1.0, -1.0)
-            batch = _train_linear_batch(xs, targets, [fits[i][2] for i in chunk], epochs)
-            for i, result in zip(chunk, batch):
-                results[i] = result
-    if classes.size == 2:
-        return [LinearClassifier(w, b, classes, history) for w, b, history in results]
-    models = [LinearClassifier(w, b, np.array([0, 1]), history) for w, b, history in results]
-    c = classes.size
-    return [_OneVsRest(tuple(models[j : j + c]), classes) for j in range(0, len(models), c)]
+    # Per set, a +-1 target row for each positive class of its binary fits.
+    signs = [np.where(labels == (cls[1:] if cls.size == 2 else cls)[:, None], 1.0, -1.0)
+             for labels, cls in zip(y, classes)]
+    # Per column count and (set, ordered columns): the matrix's fits as
+    # (fit index, target row, cost), indexed in problem order.
+    by_k, count = {}, 0
+    for f, cols, cost in problems:
+        fits = by_k.setdefault(len(cols), {}).setdefault((f, tuple(np.asarray(cols).tolist())), [])
+        fits += [(count + row, row, cost) for row in range(len(signs[f]))]
+        count += len(signs[f])
+    results = [None] * count
+
+    def train(k, chunk):  # one kernel block per (row count, fits per matrix)
+        blocks = {}
+        for (f, cols), fits in chunk:
+            blocks.setdefault((y[f].size, len(fits)), []).append((f, cols, fits))
+        args, order = [], []
+        for (n, c), parts in blocks.items():
+            stack = np.empty((len(parts), n, k))
+            for slot, (f, cols, _) in enumerate(parts):
+                stack[slot] = values[f][:, cols]
+            targets = np.stack([signs[f][[row for _, row, _ in fits]] for f, _, fits in parts])
+            args.append((np.broadcast_to(stack[:, None], (len(parts), c, n, k)), targets))
+            order += [fit for _, _, fits in parts for fit in fits]
+        batch = _train_linear_batch(args, [cost for _, _, cost in order], epochs, histories)
+        for (i, _, _), result in zip(order, batch):
+            results[i] = result
+
+    for k, matrices in by_k.items():
+        chunk, used = [], 0
+        for key, fits in matrices.items():
+            matrix = _batch_bytes(y[key[0]].size, k, 0, epochs)
+            each = _batch_bytes(y[key[0]].size, k, 1, epochs) - matrix
+            while fits:
+                take = min(len(fits), (BATCH_BYTES - used - matrix) // each)
+                if take < 1 and chunk:  # full: run it and start the next
+                    train(k, chunk)
+                    chunk, used = [], 0
+                    continue
+                take = max(take, 1)  # a fit over the budget runs alone
+                chunk.append((key, fits[:take]))
+                used += matrix + take * each
+                fits = fits[take:]
+        train(k, chunk)
+    binary = iter(results)
+    models = []
+    for f, _, _ in problems:
+        if classes[f].size == 2:
+            w, b, history = next(binary)
+            models.append(LinearClassifier(w, b, classes[f], history))
+        else:
+            per_class = islice(binary, classes[f].size)
+            models.append(_OneVsRest(
+                tuple(LinearClassifier(w, b, np.array([0, 1]), history) for w, b, history in per_class),
+                classes[f]))
+    return models
 
 
 def binary_auc(scores: np.ndarray, labels: np.ndarray, positive) -> float:
@@ -275,43 +347,55 @@ def _effective_n_grid(n_grid, m) -> tuple[int, ...]:
     return tuple(sorted(set(out)))
 
 
-def _holdout(train: Dataset, test: Dataset, grid, n_eval, with_auc=False):
-    """Score each (config, cost) entry of ``grid`` on a held-out split.
+def _plan(train: Dataset, grid, n_eval):
+    """A holdout of each (config, cost) entry of ``grid`` up to its fits.
 
     Ranks each distinct config once on ``train`` under its own scheme
-    (rankings do not depend on the classifier cost), then fits one
-    classifier per distinct (top-N column set, cost) on the set's columns in
-    ascending index order, standardized by one scaler fitted on ``train``
-    only, which standardize rankings reuse: rankings that keep one set in
-    any order share its fit. Returns, aligned with ``grid``, the per-N
-    ``(accuracy, auc)`` pairs on ``test`` and each config's ``rank_scaled``
-    ranking. ``auc`` is None unless ``with_auc`` is set and the task is
-    binary: only the final holdout, whose AUCs reach a report, sets it.
+    (rankings do not depend on the classifier cost); standardize rankings
+    read ``train`` standardized by the scaler fitted on it, which every
+    classifier input uses. Returns that scaler, the distinct fits as (top-N
+    column set in ascending index order, cost) problems, each entry's
+    problems per N, and each config's ``rank_scaled`` ranking. Rankings
+    that keep one set in any order share its fit.
     """
     configs = list(dict.fromkeys(config for config, _ in grid))
     scaler = fit_scaler(train, "standardize")
-    fit_train = train.with_values(_Fresh(scaler.apply(train.values)))
     rankings = {}
     for scheme in dict.fromkeys(config.resolved_preprocessing for config in configs):
         group = [config for config in configs if config.resolved_preprocessing == scheme]
-        rankings.update(rank_scaled(
-            fit_train if scheme == "standardize" else preprocess(train, scheme), group))
-    fit_test = scaler.apply(test.values)
-
-    # Each entry's fits, keyed by (top-N columns in ascending order, cost).
+        scaled = (train.with_values(_Fresh(scaler.apply(train.values))) if scheme == "standardize"
+                  else preprocess(train, scheme))
+        rankings.update(rank_scaled(scaled, group))
     orders = {config: np.asarray(ranking.order).tolist() for config, ranking in rankings.items()}
     entries = [[(tuple(sorted(orders[config][:n])), cost) for n in n_eval] for config, cost in grid]
     problems = list(dict.fromkeys(key for entry in entries for key in entry))
-    models = _fit_classifiers(fit_train.values, train.labels, problems)
+    return scaler, problems, entries, rankings
+
+
+def _score(test_x, labels, problems, models, entries, with_auc=False):
+    """Each entry's per-N ``(accuracy, auc)`` pairs on the standardized test
+    rows ``test_x`` from its problems' fitted ``models``. ``auc`` is None
+    unless ``with_auc`` is set and the task is binary: only the final
+    holdout, whose AUCs reach a report, sets it."""
     scored = {}
     for (cols, cost), model in zip(problems, models):
-        test_x = fit_test[:, cols]
-        acc = float(np.mean(model.predict(test_x) == test.labels))
+        x = test_x[:, cols]
+        acc = float(np.mean(model.predict(x) == labels))
         auc = None
         if with_auc and isinstance(model, LinearClassifier):
-            auc = binary_auc(model.decision_function(test_x), test.labels, model.classes[1])
+            auc = binary_auc(model.decision_function(x), labels, model.classes[1])
         scored[cols, cost] = (acc, auc)
-    return [[scored[key] for key in entry] for entry in entries], rankings
+    return [[scored[key] for key in entry] for entry in entries]
+
+
+def _holdout(train: Dataset, test: Dataset, grid, n_eval, with_auc=False):
+    """Score each (config, cost) entry of ``grid`` on a held-out split: one
+    ``_plan``, one ``_fit_classifiers`` call on the training split's
+    standardized columns, one ``_score``. Returns, aligned with ``grid``,
+    the per-N ``(accuracy, auc)`` pairs on ``test`` and each config's ranking."""
+    scaler, problems, entries, rankings = _plan(train, grid, n_eval)
+    models = _fit_classifiers(scaler.apply(train.values), train.labels, problems)
+    return _score(scaler.apply(test.values), test.labels, problems, models, entries, with_auc), rankings
 
 
 def _best(grid, scores):
@@ -328,9 +412,13 @@ def cross_validate(
     """Pick the best (config, cost) pair by stratified k-fold accuracy.
 
     Each cell ranks features on the fold's training part, then averages
-    validation accuracy over the top-N grid. Ties are broken toward the
-    smallest alpha, then the smallest cost. Returns the winning pair and
-    the per-entry mean CV accuracy, aligned with ``config_grid``.
+    validation accuracy over the top-N grid. Every fold is planned (ranked)
+    first; then one ``_fit_classifiers`` call fits every fold's distinct
+    (top-N column set, cost) classifiers together, and each fold is scored.
+    The scores are bitwise those of one ``_holdout`` per fold. Ties are
+    broken toward the smallest alpha, then the smallest cost. Returns the
+    winning pair and the per-entry mean CV accuracy, aligned with
+    ``config_grid``.
     """
     if dataset.labels is None:
         raise ConfigError("cross validation requires a labeled dataset")
@@ -340,11 +428,23 @@ def cross_validate(
     assignment = stratified_fold_indices(dataset.labels, folds, seed)
     n_eval = _effective_n_grid(n_grid, dataset.m)
 
+    # Every fold is ranked first, keeping only its scaler and fits; each
+    # fold's training Dataset lives only while it is ranked. The standardized
+    # training matrices are built again for the one fit call, so ranking a
+    # fold never holds the earlier folds' copies. No score reads a fit's
+    # objective history, and every fold's fits would hold theirs at once.
+    plans = [_plan(Dataset(_Fresh(dataset.values[rows]), dataset.labels[rows], dataset.feature_names),
+                   config_grid, n_eval)[:3] for rows in (assignment != fold for fold in range(folds))]
+    models = iter(_fit_classifiers(
+        [scaler.apply(dataset.values[assignment != fold]) for fold, (scaler, _, _) in enumerate(plans)],
+        [dataset.labels[assignment != fold] for fold in range(folds)],
+        [(fold, cols, cost) for fold, (_, problems, _) in enumerate(plans) for cols, cost in problems],
+        histories=False))
     scores = np.zeros(len(config_grid))
-    for fold in range(folds):
-        train, val = (Dataset(_Fresh(dataset.values[rows]), dataset.labels[rows], dataset.feature_names)
-                      for rows in (assignment != fold, assignment == fold))
-        results, _ = _holdout(train, val, config_grid, n_eval)
+    for fold, (scaler, problems, entries) in enumerate(plans):
+        rows = assignment == fold
+        results = _score(scaler.apply(dataset.values[rows]), dataset.labels[rows], problems,
+                         list(islice(models, len(problems))), entries)
         for pos, per_n in enumerate(results):
             scores[pos] += float(np.mean([acc for acc, _ in per_n]))
     scores /= folds

@@ -45,6 +45,28 @@ class TestValidation:
         with pytest.raises(ConfigError, match="alpha"):
             SelectorConfig(variant="ifs", alpha="auto")
 
+    @pytest.mark.parametrize("alpha", [None, [0.5], "0.5", b"cv"])
+    def test_alpha_of_another_type_rejected(self, alpha):
+        # None and a list once raised TypeError from float().
+        message = f"alpha must be a number in [0, 1] or 'cv', got {alpha!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SelectorConfig(variant="ifs", alpha=alpha)
+
+    @pytest.mark.parametrize("c", [None, "x", "0.5", True, [0.5]])
+    def test_c_of_another_type_rejected(self, c):
+        # float() once raised TypeError or ValueError, took "0.5" as 0.5
+        # and made True 1.0.
+        message = f"regularization fraction c must be a number in (0, 1), got {c!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SelectorConfig(variant="ifs", alpha=0.5, c=c)
+
+    @pytest.mark.parametrize("binning", [None, "frequency", ("equal_frequency", 10)])
+    def test_binning_of_another_type_rejected(self, binning):
+        # It was once accepted, then failed inside ranking with AttributeError.
+        message = f"binning must be a BinningPolicy, got {binning!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SelectorConfig(variant="ifs", alpha=0.5, binning=binning)
+
     def test_c_open_interval(self):
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(ConfigError, match="fraction c"):

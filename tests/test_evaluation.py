@@ -267,7 +267,7 @@ class TestTrainLinearExactness:
     def test_batch_bitwise_equal_to_reference_loop(self, n, k, epochs):
         xs, ys, costs = trainer_batch(n, k)
         targets = np.where(ys == 1, 1.0, -1.0)
-        results = evaluation._train_linear_batch(xs.copy(), targets, costs, epochs)
+        results = evaluation._train_linear_batch([(xs.copy(), targets)], costs, epochs)
         stops = {matches_reference(*args, epochs) for args in zip(results, xs, ys, costs)}
         # One stack mixes every way out of the loop its epoch cap allows.
         assert stops == ({"cap", "gradient", "no step"} if epochs == 200 else {"cap", "gradient"})
@@ -276,7 +276,7 @@ class TestTrainLinearExactness:
         # Fits that stop early, most of the stack included, stay in place.
         xs, ys, costs = trainer_batch(20, 3)
         stack = xs.copy()
-        evaluation._train_linear_batch(stack, np.where(ys == 1, 1.0, -1.0), costs, 200)
+        evaluation._train_linear_batch([(stack, np.where(ys == 1, 1.0, -1.0))], costs, 200)
         assert stack.tobytes() == xs.tobytes()
 
     def test_batch_bitwise_equal_on_matrices_blas_may_thread(self):
@@ -287,7 +287,7 @@ class TestTrainLinearExactness:
         xs[3] = np.round(xs[3])
         ys = (xs[:, :, 0] + rng.normal(size=(4, 400)) > 0).astype(np.int64)
         costs = [0.01, 1.0, 100.0, 1.0]
-        results = evaluation._train_linear_batch(xs.copy(), np.where(ys == 1, 1.0, -1.0), costs, 50)
+        results = evaluation._train_linear_batch([(xs.copy(), np.where(ys == 1, 1.0, -1.0))], costs, 50)
         for args in zip(results, xs, ys, costs):
             matches_reference(*args, 50)
 
@@ -305,6 +305,18 @@ class TestTrainLinearExactness:
             for c, binary in zip(model.classes, model.models):
                 assert_same_classifier(binary, train_linear(values[:, cols], np.where(y == c, 1, 0), cost))
 
+    def test_without_histories_the_same_fits(self):
+        rng = np.random.default_rng(94)
+        values = rng.normal(size=(40, 5))
+        y = rng.integers(0, 3, 40)
+        problems = [(np.arange(k), cost) for k in (2, 5) for cost in COST_GRID]
+        for full, bare in zip(evaluation._fit_classifiers(values, y, problems),
+                              evaluation._fit_classifiers(values, y, problems, histories=False)):
+            for one, other in zip(full.models, bare.models, strict=True):
+                assert len(one.objective_history) > 1 and other.objective_history == ()
+                assert one.weights.tobytes() == other.weights.tobytes()
+                assert one.bias.hex() == other.bias.hex()
+
     def test_one_problem_chunks_give_the_same_bytes(self, monkeypatch):
         rng = np.random.default_rng(91)
         values = rng.normal(size=(50, 6))
@@ -313,9 +325,9 @@ class TestTrainLinearExactness:
         sizes = []
         kernel = evaluation._train_linear_batch
 
-        def sizing_kernel(xs, targets, costs, epochs):
-            sizes.append(len(xs))
-            return kernel(xs, targets, costs, epochs)
+        def sizing_kernel(blocks, costs, *rest):
+            sizes.append(len(costs))
+            return kernel(blocks, costs, *rest)
 
         monkeypatch.setattr(evaluation, "_train_linear_batch", sizing_kernel)
         together = evaluation._fit_classifiers(values, y, problems)
@@ -329,13 +341,15 @@ class TestTrainLinearExactness:
 
     @pytest.mark.parametrize("n, k, count", [(30, 1, 40), (30, 7, 9), (200, 3, 5), (7, 2, 100)])
     def test_chunks_stay_within_the_budget(self, monkeypatch, n, k, count):
-        budget = 3 * evaluation._batch_bytes(30, 7)
+        budget = 3 * evaluation._batch_bytes(30, 7, 1, 2)
         shapes = []
         kernel = evaluation._train_linear_batch
 
-        def sizing_kernel(xs, targets, costs, epochs):
+        def sizing_kernel(blocks, costs, *rest):
+            [(xs, _)] = blocks
             shapes.append(xs.shape)
-            return kernel(xs, targets, costs, epochs)
+            assert xs.strides[1] == 0  # the chunk's fits share one stacked matrix
+            return kernel(blocks, costs, *rest)
 
         monkeypatch.setattr(evaluation, "_train_linear_batch", sizing_kernel)
         monkeypatch.setattr(evaluation, "BATCH_BYTES", budget)
@@ -343,27 +357,38 @@ class TestTrainLinearExactness:
         values = rng.normal(size=(n, k))
         y = np.arange(n) % 2
         evaluation._fit_classifiers(values, y, [(np.arange(k), 1.0)] * count, epochs=2)
-        assert sum(p for p, _, _ in shapes) == count
-        per_chunk = max(1, budget // evaluation._batch_bytes(n, k))
+        assert sum(p for _, p, _, _ in shapes) == count
+        matrix = evaluation._batch_bytes(n, k, 0, 2)
+        per_chunk = max(1, (budget - matrix) // (evaluation._batch_bytes(n, k, 1, 2) - matrix))
         assert len(shapes) == -(-count // per_chunk)  # no more chunks than the budget needs
-        for p, rows, cols in shapes:
-            assert (rows, cols) == (n, k)
-            assert p == 1 or p * evaluation._batch_bytes(n, k) <= budget
+        for s, p, rows, cols in shapes:
+            assert (s, rows, cols) == (1, n, k)
+            assert p == 1 or evaluation._batch_bytes(n, k, p, 2) <= budget
 
-    def test_round_temporaries_fit_the_batch_bytes(self):
-        # Beyond the caller's stack and the results it returns, a round holds
-        # at most the rest of _batch_bytes per problem.
+    @staticmethod
+    def round_bytes_within_budget(shared):
+        # Beyond the caller's stack and targets and the results it returns,
+        # a round holds at most the rest of _batch_bytes per fit.
         xs, ys, costs = trainer_batch(40, 5)
-        targets = np.where(ys == 1, 1.0, -1.0)
+        xs = np.broadcast_to(xs[:, None], (len(xs), shared) + xs.shape[1:])
+        targets = np.where(np.repeat(ys[:, None], shared, axis=1) == 1, 1.0, -1.0)
+        costs = np.repeat(costs, shared)
         tracemalloc.start()
         try:
-            results = evaluation._train_linear_batch(xs, targets, costs, 200)
+            results = evaluation._train_linear_batch([(xs, targets)], costs, 200)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        p, n, k = xs.shape
-        assert len(results) == p
-        assert peak - current <= p * (evaluation._batch_bytes(n, k) - 8 * n * k)
+        _, _, n, k = xs.shape
+        assert len(results) == len(costs)
+        per_fit = evaluation._batch_bytes(n, k, 1, 200) - evaluation._batch_bytes(n, k, 0, 200)
+        assert peak - current <= len(costs) * (per_fit - 8 * n)
+
+    def test_round_temporaries_fit_the_batch_bytes(self):
+        self.round_bytes_within_budget(1)
+
+    def test_round_temporaries_fit_the_batch_bytes_with_a_shared_matrix(self):
+        self.round_bytes_within_budget(5)  # five fits read each stacked matrix
 
 
 class TestBinaryAuc:
@@ -824,12 +849,12 @@ class TestCrossValidate:
         class FirstFold(Exception):
             pass
 
-        def first_fold(train, val, grid, n_eval):
+        def first_fold(train, grid, n_eval):
             raise FirstFold(tracemalloc.get_traced_memory()[1])
 
         rng = np.random.default_rng(85)
         d = labeled_dataset(rng, 4000, 40)
-        monkeypatch.setattr(evaluation, "_holdout", first_fold)
+        monkeypatch.setattr(evaluation, "_plan", first_fold)
         tracemalloc.start()
         try:
             with pytest.raises(FirstFold) as info:
@@ -845,10 +870,12 @@ class TestCrossValidate:
         fits = []
         kernel = evaluation._train_linear_batch
 
-        def counting_kernel(xs, targets, costs, epochs):
-            for x, y, cost in zip(xs, targets, costs):
+        def counting_kernel(blocks, costs, *rest):
+            xs = [x for block, _ in blocks for x in block.reshape((-1,) + block.shape[-2:])]
+            ys = [y for _, targets in blocks for y in targets.reshape(-1, targets.shape[-1])]
+            for x, y, cost in zip(xs, ys, costs, strict=True):
                 fits.append((x.tobytes(), x.shape, y.tobytes(), cost))
-            return kernel(xs, targets, costs, epochs)
+            return kernel(blocks, costs, *rest)
 
         monkeypatch.setattr(evaluation, "_train_linear_batch", counting_kernel)
         rng = np.random.default_rng(85)
@@ -859,6 +886,118 @@ class TestCrossValidate:
         assert fits and len(fits) == len(set(fits))
 
 
+def merged_grid_dataset(classes):
+    """A dataset whose five stratified folds (seed 1) differ in training row
+    count, and a grid of two variants at two alphas and every cost."""
+    rng = np.random.default_rng(86 + classes)
+    n = 47 if classes == 2 else 61
+    y = rng.integers(0, classes, n)
+    values = rng.normal(size=(n, 8))
+    values[:, 0] += y
+    values[:, 3] -= 0.5 * y
+    grid = [(SelectorConfig(variant=v, alpha=a), cost)
+            for v in ("ifs", "sifs") for a in (0.2, 0.8) for cost in COST_GRID]
+    return Dataset(values, labels=y), grid
+
+
+def one_holdout_per_fold(d, grid, folds, seed, n_grid):
+    """``cross_validate``'s scores by the per-fold route: each fold's
+    ``_holdout`` accuracies, averaged over N, summed over folds and divided
+    by the fold count."""
+    assignment = stratified_fold_indices(d.labels, folds, seed)
+    n_eval = evaluation._effective_n_grid(n_grid, d.m)
+    scores = np.zeros(len(grid))
+    for fold in range(folds):
+        train, val = (Dataset(d.values[rows], labels=d.labels[rows])
+                      for rows in (assignment != fold, assignment == fold))
+        results, _ = evaluation._holdout(train, val, grid, n_eval)
+        for pos, per_n in enumerate(results):
+            scores[pos] += float(np.mean([acc for acc, _ in per_n]))
+    return scores / folds
+
+
+class TestMergedFolds:
+    """``cross_validate`` fits every fold's classifiers in one ``_fit_classifiers`` call."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = evaluation._train_linear_batch
+
+        def spy(blocks, costs, *rest):
+            calls.append((blocks, list(costs)))
+            return kernel(blocks, costs, *rest)
+
+        monkeypatch.setattr(evaluation, "_train_linear_batch", spy)
+        return calls
+
+    def test_one_kernel_call_per_column_count(self, kernel_calls):
+        # One fold at a time made one call per fold and column count.
+        d, grid = merged_grid_dataset(2)
+        cross_validate(d, grid, folds=5, seed=1, n_grid=(1, 3, 5))
+        assert sorted(blocks[0][0].shape[-1] for blocks, _ in kernel_calls) == [1, 3, 5]
+        for blocks, _ in kernel_calls:  # the folds' row counts step in one loop
+            assert len({xs.shape[-2] for xs, _ in blocks}) > 1
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_each_matrix_stacked_once_for_all_its_fits(self, kernel_calls, classes):
+        # s distinct (fold, column set) matrices for s x c fits: c costs, and
+        # one vs rest, c costs times the class count.
+        d, grid = merged_grid_dataset(classes)
+        cross_validate(d, grid, folds=5, seed=1, n_grid=(1, 3, 5))
+        c = len(COST_GRID) * (1 if classes == 2 else classes)
+        for blocks, costs in kernel_calls:
+            fits = 0
+            for xs, targets in blocks:
+                s, shared, n, k = xs.shape
+                assert shared == c and xs.strides[1] == 0 and targets.shape == (s, c, n)
+                assert len({xs[i, 0].tobytes() for i in range(s)}) == s
+                fits += s * c
+            assert fits == len(costs)
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_scores_bitwise_equal_to_one_holdout_per_fold(self, monkeypatch, classes):
+        d, grid = merged_grid_dataset(classes)
+        assignment = stratified_fold_indices(d.labels, 5, 1)
+        assert len({int(np.sum(assignment != fold)) for fold in range(5)}) > 1
+        calls = []
+        fit = evaluation._fit_classifiers
+
+        def spy(values, y, problems, histories):  # keeps the histories cross_validate drops
+            models = fit(values, y, problems)
+            calls.append((values, y, problems, models))
+            return models
+
+        monkeypatch.setattr(evaluation, "_fit_classifiers", spy)
+        _, scores = cross_validate(d, grid, folds=5, seed=1, n_grid=(1, 3, 5))
+        # Every fit of the merged call is bitwise the one its fold's own call makes.
+        [(values, y, problems, models)] = calls
+        for fold in range(5):
+            mine = [(cols, cost, model) for (f, cols, cost), model in zip(problems, models) if f == fold]
+            alone = fit(values[fold], y[fold], [(cols, cost) for cols, cost, _ in mine])
+            for (_, _, model), expected in zip(mine, alone, strict=True):
+                pairs = zip(model.models, expected.models, strict=True) if classes > 2 else [(model, expected)]
+                for one, other in pairs:
+                    assert_same_classifier(one, other)
+        monkeypatch.setattr(evaluation, "_fit_classifiers", fit)
+        assert scores.tobytes() == one_holdout_per_fold(d, grid, 5, 1, (1, 3, 5)).tobytes()
+
+    def test_holds_one_standardized_copy_per_fold(self):
+        # Each fold's standardized training matrix waits for the one fit
+        # call; a fold's ranking copies die with its plan. Keeping the
+        # standardized copies each plan made peaked at 8.2x the matrix here.
+        d = labeled_dataset(np.random.default_rng(85), 4000, 40)
+        grid = [(SelectorConfig(variant="ifs", alpha=0.5), cost) for cost in COST_GRID]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cross_validate(d, grid, folds=5, n_grid=(1, 5))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * d.values.nbytes + evaluation.BATCH_BYTES
+
+
 class TestHoldout:
     """``_holdout`` fits one classifier per distinct (top-N column set, cost)."""
 
@@ -867,9 +1006,9 @@ class TestHoldout:
         costs = []
         kernel = evaluation._train_linear_batch
 
-        def counting_kernel(xs, targets, batch_costs, epochs):
+        def counting_kernel(blocks, batch_costs, *rest):
             costs.extend(batch_costs)
-            return kernel(xs, targets, batch_costs, epochs)
+            return kernel(blocks, batch_costs, *rest)
 
         monkeypatch.setattr(evaluation, "_train_linear_batch", counting_kernel)
         return costs
